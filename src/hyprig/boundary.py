@@ -132,16 +132,50 @@ def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class BoundaryMap:
+    """An evaluatable boundary map.  ``evaluate`` takes one IdealPoint;
+    ``batch``, where the kind has one, takes an (N, n) array of unit
+    vectors to the (N, n) array of their images."""
+
     kind: str
     params: dict = field(compare=False)
     evaluate: Callable[[IdealPoint], IdealPoint] = field(compare=False)
+    batch: Callable[[np.ndarray], np.ndarray] = field(default=None,
+                                                     compare=False)
 
     def __call__(self, xi: IdealPoint) -> IdealPoint:
         return self.evaluate(xi)
 
+    def evaluate_many(self, X) -> np.ndarray:
+        """Images of the rows of X, (N, n) -> (N, n)."""
+        return evaluate_many(self, X)
+
+
+def evaluate_many(phi, X) -> np.ndarray:
+    """Images of the rows of X (N, n) under a boundary map, as (N, n).
+
+    A BoundaryMap with a batch evaluator runs it; any other callable on
+    IdealPoints is applied row by row."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(phi, BoundaryMap) and phi.batch is not None:
+        return phi.batch(X)
+    return np.array([phi(IdealPoint(x)).coords for x in X]).reshape(X.shape)
+
 
 def eval_map(phi: BoundaryMap, xi: IdealPoint) -> IdealPoint:
     return phi.evaluate(xi)
+
+
+def _act_ideal_many(g: Isometry, X: np.ndarray) -> np.ndarray:
+    """act_ideal on the rows of X: the null lifts (x, 1) through the
+    matrix, then back to unit vectors."""
+    M = g.matrix
+    Y = X @ M[:, :-1].T + M[:, -1]
+    V = Y[:, :-1] / Y[:, -1:]
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+
+# entries of the query-by-table distance block a tabulated lookup holds
+_TABLE_BLOCK = 1 << 20
 
 
 def make_boundary_map(kind: str, **params) -> BoundaryMap:
@@ -156,7 +190,8 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
     """
     if kind == "planted_isometry":
         g = params["g"]
-        return BoundaryMap(kind, dict(params), lambda xi: act_ideal(g, xi))
+        return BoundaryMap(kind, dict(params), lambda xi: act_ideal(g, xi),
+                           lambda X: _act_ideal_many(g, X))
 
     if kind == "perturbed":
         g = params["g"]
@@ -175,11 +210,19 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
             out = eta + amplitude * tang
             return IdealPoint(out / np.linalg.norm(out))
 
-        return BoundaryMap(kind, dict(params), ev)
+        def ev_many(X):
+            eta = _act_ideal_many(g, X)
+            raw = (X @ A.T + c) / bound
+            tang = raw - np.einsum("ij,ij->i", raw, eta)[:, None] * eta
+            out = eta + amplitude * tang
+            return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+        return BoundaryMap(kind, dict(params), ev, ev_many)
 
     if kind == "tabulated":
         pts = np.array([p.coords for p in params["points"]])
         images = list(params["images"])
+        image_coords = np.array([q.coords for q in images])
         radius = float(params["radius"])
 
         def ev(xi):
@@ -189,11 +232,28 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
                 raise OutOfTable(f"nearest table point at {d[i]:.3e} > {radius}")
             return images[i]
 
-        return BoundaryMap(kind, dict(params), ev)
+        p2 = np.einsum("ij,ij->i", pts, pts)
+        step = max(1, _TABLE_BLOCK // len(pts))
+
+        def ev_many(X):
+            # nearest rows by |x - p|^2 - |x|^2 = |p|^2 - 2 x.p, a block of
+            # queries at a time; the winners' distances are recomputed
+            idx = np.empty(len(X), dtype=int)
+            for k in range(0, len(X), step):
+                idx[k:k + step] = np.argmin(p2 - 2.0 * X[k:k + step] @ pts.T,
+                                            axis=1)
+            d = np.linalg.norm(pts[idx] - X, axis=1)
+            if np.any(d > radius):
+                raise OutOfTable(
+                    f"nearest table point at {d.max():.3e} > {radius}")
+            return image_coords[idx]
+
+        return BoundaryMap(kind, dict(params), ev, ev_many)
 
     if kind == "constant":
         p = params["point"]
-        return BoundaryMap(kind, dict(params), lambda xi: p)
+        return BoundaryMap(kind, dict(params), lambda xi: p,
+                           lambda X: np.tile(p.coords, (len(X), 1)))
 
     raise ValueError(f"unknown boundary map kind: {kind}")
 

@@ -25,13 +25,11 @@ from .boundary import (
 )
 from .errors import HyprigError
 from .hypcore import IdealPoint, SpacePoint, identity_isometry, make_isometry
-from .lattice import covolume, load_preset, sample_haar, truncation_error_bound
+from .lattice import covolume, load_preset, preset_names
 from .regref import density_probe, orbit, reference_regular
 from .rigidity import consensus, preserves_regular, verify_conjugacy
 from .smear import milnor_wood_check, vol_of_rep, volume_ratio
 from .volcocycle import v_n, vol, vol_defect
-
-KNOWN_PRESETS = ("figure_eight_3d", "test_reflection_2d")
 
 
 def _load_json(path):
@@ -139,7 +137,7 @@ def cmd_density_probe(args):
 
 def cmd_preset(args):
     if args.action == "list":
-        _emit({"presets": list(KNOWN_PRESETS)}, args)
+        _emit({"presets": preset_names()}, args)
         return 0
     p = load_preset(args.name)
     _emit({
@@ -163,6 +161,10 @@ def _run_ratio(args):
                                 T=args.truncation)
 
 
+def _diagnostics(est):
+    return {"ess_frac": est.ess_frac, "max_weight": est.max_weight}
+
+
 def cmd_smear(args):
     p, phi, lam = _run_ratio(args)
     payload = {
@@ -172,6 +174,7 @@ def cmd_smear(args):
         "n_samples": lam.n_samples,
         "consistent": lam.consistent,
         "milnor_wood": milnor_wood_check(lam),
+        "diagnostics": _diagnostics(lam),
     }
     if args.csv:
         with open(args.csv, "w", newline="") as f:
@@ -193,7 +196,8 @@ def cmd_vol_of_rep(args):
     est = vol_of_rep(p, phi, args.samples // args.simplices, args.seed,
                      m=args.simplices, T=args.truncation)
     _emit({"vol_of_rep": est.value, "std_error": est.std_error,
-           "bias_bound": est.bias_bound, "covolume": p.covolume}, args)
+           "bias_bound": est.bias_bound, "covolume": p.covolume,
+           "diagnostics": _diagnostics(est)}, args)
     return 0
 
 

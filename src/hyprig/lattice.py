@@ -20,6 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -27,14 +28,9 @@ from .errors import BadTruncation, PresetCorrupt, UnknownPreset
 from .hypcore import (
     IdealPoint,
     Isometry,
-    SpacePoint,
     act_ideal,
-    convert,
     identity_isometry,
     make_isometry,
-    random_rotation,
-    rotation_isometry,
-    translation_to,
 )
 from .volcocycle import v_n, vol
 
@@ -57,6 +53,27 @@ class _CellChart:
 
 
 @dataclass(frozen=True)
+class _Charts:
+    """The cell charts stacked into arrays, one row per cell; indexing
+    gives one cell's chart."""
+
+    base: np.ndarray       # (C, n, n-1)
+    center: np.ndarray     # (C, n-1)
+    radius: np.ndarray     # (C,)
+    area: np.ndarray       # (C,)
+    volume: np.ndarray     # (C,)
+
+    @classmethod
+    def stack(cls, charts):
+        return cls(*(np.array([getattr(ch, f) for ch in charts])
+                     for f in ("base", "center", "radius", "area", "volume")))
+
+    def __getitem__(self, i) -> _CellChart:
+        return _CellChart(self.base[i], self.center[i], float(self.radius[i]),
+                          float(self.area[i]), float(self.volume[i]))
+
+
+@dataclass(frozen=True)
 class LatticePreset:
     name: str
     n: int
@@ -65,7 +82,7 @@ class LatticePreset:
     cells: tuple           # of tuples of IdealPoint
     face_pairings: tuple
     cusp_floor: float
-    charts: tuple
+    charts: _Charts
     covolume: float
 
 
@@ -74,6 +91,31 @@ class HaarSample:
     g: Isometry
     weight: float
     cell: int
+
+
+@dataclass(frozen=True)
+class HaarBatch:
+    """N weighted samples of the invariant measure, stored as arrays.
+
+    ``matrices`` (N, n+1, n+1) are the Lorentz matrices of the sampled
+    isometries, ``signs`` their orientation characters, ``weights`` the
+    density ratios and ``cells`` the cells of the base points.  Indexing
+    or iterating builds one :class:`HaarSample` at a time."""
+
+    matrices: np.ndarray
+    signs: np.ndarray
+    weights: np.ndarray
+    cells: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, i: int) -> HaarSample:
+        return HaarSample(Isometry(self.matrices[i], int(self.signs[i])),
+                          float(self.weights[i]), int(self.cells[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def _resolve_word(generators, word) -> Isometry:
@@ -114,16 +156,31 @@ def _chart_cell(points):
     return _CellChart(W, center, radius, area, volume)
 
 
-def _preset_path(name: str) -> str:
+def _search_path():
+    """Preset directories in search order: the override, then the
+    packaged presets."""
+    packaged = resources.files("hyprig") / "presets"
     override = os.environ.get(PRESET_DIR_ENV)
-    if override:
-        cand = os.path.join(override, f"{name}.json")
-        if os.path.exists(cand):
-            return cand
-    ref = resources.files("hyprig") / "presets" / f"{name}.json"
-    if not ref.is_file():
-        raise UnknownPreset(f"no preset named {name!r}")
-    return str(ref)
+    return [Path(override), packaged] if override else [packaged]
+
+
+def _preset_path(name: str) -> str:
+    for d in _search_path():
+        cand = d / f"{name}.json"
+        if cand.is_file():
+            return str(cand)
+    raise UnknownPreset(f"no preset named {name!r}")
+
+
+def preset_names() -> list:
+    """Names of the presets on the search path, override directory first;
+    a name is listed once, as the first directory that has it."""
+    names = []
+    for d in _search_path():
+        if d.is_dir():
+            names += sorted(f.name.removesuffix(".json") for f in d.iterdir()
+                            if f.name.endswith(".json"))
+    return list(dict.fromkeys(names))
 
 
 def load_preset(name: str) -> LatticePreset:
@@ -172,13 +229,12 @@ def load_preset(name: str) -> LatticePreset:
                 raise PresetCorrupt(
                     f"face pairing {pr} does not glue (vertex mismatch)")
 
-    charts = tuple(_chart_cell(list(cell)) for cell in cells)
-    covol = float(sum(ch.volume for ch in charts))
+    charts = _Charts.stack([_chart_cell(list(cell)) for cell in cells])
+    covol = float(charts.volume.sum())
     if not np.isfinite(covol) or covol <= 0:
         raise PresetCorrupt("covolume is not finite positive")
-    for ch in charts:
-        if ch.volume > v_n(n) + 1e-9:
-            raise PresetCorrupt("cell volume exceeds the regular ideal bound")
+    if np.any(charts.volume > v_n(n) + 1e-9):
+        raise PresetCorrupt("cell volume exceeds the regular ideal bound")
 
     return LatticePreset(name=str(raw["name"]), n=n, generators=generators,
                          relators=relators, cells=cells, face_pairings=pairings,
@@ -186,9 +242,9 @@ def load_preset(name: str) -> LatticePreset:
 
 
 def covolume(preset: LatticePreset) -> float:
-    """Total volume of the fundamental domain: sum of |Vol_n| over cells."""
-    return float(sum(abs(vol(list(cell), tol=1e-9).value)
-                     for cell in preset.cells))
+    """Total volume of the fundamental domain: sum of |Vol_n| over cells,
+    as verified by load_preset."""
+    return preset.covolume
 
 
 def truncation_error_bound(preset: LatticePreset, T: float) -> float:
@@ -199,25 +255,21 @@ def truncation_error_bound(preset: LatticePreset, T: float) -> float:
     by v_n, the bias is at most v_n times the missing mass fraction.
     """
     n = preset.n
-    removed = sum(ch.area for ch in preset.charts) / ((n - 1) * T ** (n - 1))
-    return v_n(n) * removed / preset.covolume
+    removed = preset.charts.area.sum() / ((n - 1) * T ** (n - 1))
+    return float(v_n(n) * removed / preset.covolume)
 
 
 def default_truncation(preset: LatticePreset,
                        bias: float = DEFAULT_BIAS_TARGET) -> float:
     """Smallest truncation height with truncation_error_bound <= bias."""
     n = preset.n
-    total_area = sum(ch.area for ch in preset.charts)
+    total_area = preset.charts.area.sum()
     T = (v_n(n) * total_area / ((n - 1) * preset.covolume * bias)) ** (1.0 / (n - 1))
-    return max(T, preset.cusp_floor * 1.01)
-
-
-def _truncated_cell_volume(ch: _CellChart, n: int, T: float) -> float:
-    return ch.volume - ch.area / ((n - 1) * T ** (n - 1))
+    return float(max(T, preset.cusp_floor * 1.01))
 
 
 def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
-                stream: int = None):
+                stream: int = None) -> HaarBatch:
     """Draw N weighted samples of the invariant measure on the quotient.
 
     Each sample is g = (transvection to a base point) o (frame rotation):
@@ -227,8 +279,10 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
     the density ratio, so weighted averages estimate integrals against
     the invariant probability measure up to the truncation bias.
 
-    Identical (seed, stream) pairs give identical streams; distinct
-    streams spawned from one seed are independent.
+    All N samples are drawn at once, in this order: the cells, the
+    barycentric coordinates on the cell bases, the height quantiles and
+    the Gaussian frames.  Identical (seed, stream) pairs give identical
+    batches; distinct streams spawned from one seed are independent.
     """
     n = preset.n
     if T is None:
@@ -237,37 +291,52 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
         raise BadTruncation(
             f"T = {T} is not above the cusp floor {preset.cusp_floor}")
 
-    ss = np.random.SeedSequence(seed)
-    if stream is not None:
-        ss = ss.spawn(stream + 1)[stream]
+    # stream k is child k of SeedSequence(seed).spawn(), made directly
+    ss = np.random.SeedSequence(seed, spawn_key=() if stream is None
+                                else (stream,))
     rng = np.random.default_rng(ss)
 
     d = n - 1
-    trunc_vols = np.array([_truncated_cell_volume(ch, n, T)
-                           for ch in preset.charts])
+    ch = preset.charts
+    trunc_vols = ch.volume - ch.area / (d * T ** d)
     if np.any(trunc_vols <= 0):
         raise BadTruncation("truncation leaves an empty cell")
     p_cell = trunc_vols / trunc_vols.sum()
 
-    out = []
-    for _ in range(N):
-        ci = int(rng.choice(len(p_cell), p=p_cell))
-        ch = preset.charts[ci]
-        lam = rng.dirichlet(np.ones(d + 1))
-        x = lam @ ch.base
-        h2 = max(ch.radius ** 2 - float(np.dot(x - ch.center, x - ch.center)),
-                 1e-300)
-        h = min(np.sqrt(h2), T)
-        u = rng.uniform()
-        t = (h ** (-d) - u * (h ** (-d) - T ** (-d))) ** (-1.0 / d)
-        intensity = (h ** (-d) - T ** (-d)) / d
-        weight = ch.area * intensity / (preset.covolume * p_cell[ci])
+    cells = rng.choice(len(p_cell), size=N, p=p_cell)
+    lam = rng.dirichlet(np.ones(d + 1), size=N)
+    u = rng.uniform(size=N)
+    gauss = rng.standard_normal((N, n, n))
 
-        hyp = convert(np.append(x, t), "halfspace", "hyperboloid")
-        # far up the cusp the chart costs a couple of digits; renormalize
-        hyp = hyp / np.sqrt(hyp[-1] ** 2 - float(hyp[:-1] @ hyp[:-1]))
-        point = SpacePoint(hyp)
-        frame = random_rotation(rng, n)
-        g = translation_to(point) @ rotation_isometry(frame)
-        out.append(HaarSample(g=g, weight=float(weight), cell=ci))
-    return out
+    # base point: uniform foot x on the cell base, height t in [h, T]
+    # with density proportional to t^{-n}, h the floor sphere above x
+    x = np.einsum("ij,ijk->ik", lam, ch.base[cells])
+    off = x - ch.center[cells]
+    h2 = np.maximum(ch.radius[cells] ** 2 - np.einsum("ij,ij->i", off, off),
+                    1e-300)
+    h = np.minimum(np.sqrt(h2), T)
+    t = (h ** (-d) - u * (h ** (-d) - T ** (-d))) ** (-1.0 / d)
+    intensity = (h ** (-d) - T ** (-d)) / d
+    weights = ch.area[cells] * intensity / (preset.covolume * p_cell[cells])
+
+    # half-space (x, t) on the hyperboloid, in closed form:
+    # (x/t, (s-1)/(2t), (s+1)/(2t)) with s = |x|^2 + t^2
+    s = np.einsum("ij,ij->i", x, x) + t * t
+    y = np.concatenate([x / t[:, None], ((s - 1.0) / (2.0 * t))[:, None]],
+                       axis=1)
+    y0 = (s + 1.0) / (2.0 * t)
+
+    # Haar frames: QR of Gaussian matrices, column signs fixed by diag(R)
+    Q, R = np.linalg.qr(gauss)
+    frames = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+
+    # g = [[I + y y^T/(1+y0), y], [y^T, y0]] @ diag(frame, 1): the
+    # transvection carrying the basepoint to (y, y0) after the rotation
+    yR = np.einsum("ij,ijk->ik", y, frames)
+    M = np.empty((N, n + 1, n + 1))
+    M[:, :n, :n] = frames + y[:, :, None] * yR[:, None, :] / (1.0 + y0)[:, None, None]
+    M[:, :n, n] = y
+    M[:, n, :n] = yR
+    M[:, n, n] = y0
+    signs = np.where(np.linalg.det(frames) > 0, 1, -1)
+    return HaarBatch(matrices=M, signs=signs, weights=weights, cells=cells)

@@ -17,15 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import evaluate_many
 from .errors import IllConditioned
-from .hypcore import IdealPoint, act_ideal
+# act_ideal is not called here; hyprig_bench's tracer patches
+# smear.act_ideal by name, so the name stays importable from this module.
+from .hypcore import IdealPoint, act_ideal  # noqa: F401
 from .lattice import (
     LatticePreset,
     default_truncation,
     sample_haar,
     truncation_error_bound,
 )
-from .volcocycle import v_n, vol
+from .volcocycle import v_n, vol_batch
 
 VOLUME_FLOOR_FRACTION = 0.1
 SIGMA_FLOOR = 1e-12
@@ -33,17 +36,24 @@ SIGMA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A Monte-Carlo estimate with its error split, and the importance
+    weight diagnostics: the effective sample size over the sample count,
+    (sum w)^2 / (N sum w^2), and the largest weight."""
+
     value: float
     std_error: float
     bias_bound: float
     n_samples: int
     seed: object
+    ess_frac: float = 1.0
+    max_weight: float = 1.0
 
 
 @dataclass(frozen=True)
 class RatioEstimate(McEstimate):
     """Inverse-variance combination of per-simplex ratios, with the
-    proportionality consistency flag."""
+    proportionality consistency flag; ess_frac and max_weight are the
+    worst over the simplices."""
 
     consistent: bool = True
     per_simplex: tuple = ()
@@ -51,38 +61,54 @@ class RatioEstimate(McEstimate):
 
 def smear_integral(preset: LatticePreset, phi, xi, n_samples: int, seed,
                    T: float = None, stream: int = None) -> McEstimate:
-    """Weighted Monte-Carlo estimate of the smearing integral at xi."""
-    verts = list(xi.vertices) if hasattr(xi, "vertices") else list(xi)
+    """Weighted Monte-Carlo estimate of the smearing integral at xi.
+
+    Each sample g contributes w eps(g) Vol_n(phi(g xi_0), ..., phi(g xi_n));
+    eps(g^{-1}) = eps(g)."""
+    verts = np.array([v.coords for v in getattr(xi, "vertices", xi)])
+    n = verts.shape[1]
     if T is None:
         T = default_truncation(preset)
-    samples = sample_haar(preset, seed, n_samples, T=T, stream=stream)
-    vals = np.empty(n_samples)
-    for i, s in enumerate(samples):
-        moved = [phi(act_ideal(s.g, v)) for v in verts]
-        # eps(g^{-1}) = eps(g)
-        vals[i] = s.weight * s.g.sign * vol(moved).value
+    batch = sample_haar(preset, seed, n_samples, T=T, stream=stream)
+    # every vertex through every sample: null lifts (v, 1) -> (N, n+1, n+1)
+    lifts = np.concatenate([verts, np.ones((n + 1, 1))], axis=1)
+    Y = np.matmul(lifts, batch.matrices.transpose(0, 2, 1))
+    moved = Y[..., :-1] / Y[..., -1:]
+    moved /= np.linalg.norm(moved, axis=2, keepdims=True)
+    images = evaluate_many(phi, moved.reshape(-1, n)).reshape(moved.shape)
+    w = batch.weights
+    vals = w * batch.signs * vol_batch(images)
     value = float(vals.mean())
     std_error = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return McEstimate(value=value, std_error=std_error,
                       bias_bound=truncation_error_bound(preset, T),
-                      n_samples=n_samples, seed=seed)
+                      n_samples=n_samples, seed=seed,
+                      ess_frac=float(w.sum() ** 2 / (len(w) * (w @ w))),
+                      max_weight=float(np.max(w, initial=0.0)))
 
 
 def _random_test_simplices(rng, n: int, m: int, max_tries: int = 2000):
-    """Well-separated ideal simplices with |Vol_n| above the floor."""
+    """m well-separated ideal simplices with |Vol_n| above the floor, as
+    an (m, n+1, n) array of vertices and their m signed volumes.
+
+    Candidates are drawn 2m at a time, in the order a one-by-one draw
+    would take them, until m pass or max_tries are spent."""
     floor = VOLUME_FLOOR_FRACTION * v_n(n)
-    out = []
-    for _ in range(max_tries):
-        pts = []
-        for _ in range(n + 1):
-            v = rng.standard_normal(n)
-            pts.append(IdealPoint(v / np.linalg.norm(v)))
-        if abs(vol(pts).value) >= floor:
-            out.append(pts)
-            if len(out) == m:
-                return out
+    pts, vols = np.empty((0, n + 1, n)), np.empty(0)
+    tried = 0
+    while tried < max_tries:
+        k = min(2 * m, max_tries - tried)
+        tried += k
+        cand = rng.standard_normal((k, n + 1, n))
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        cv = vol_batch(cand)
+        keep = np.abs(cv) >= floor
+        pts = np.concatenate([pts, cand[keep]])
+        vols = np.concatenate([vols, cv[keep]])
+        if len(vols) >= m:
+            return pts[:m], vols[:m]
     raise IllConditioned(
-        f"found {len(out)}/{m} test simplices above the volume floor")
+        f"found {len(vols)}/{m} test simplices above the volume floor")
 
 
 def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
@@ -99,15 +125,16 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
     if T is None:
         T = default_truncation(preset)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    simplices = _random_test_simplices(rng, n, m)
-    per = []
-    for i, pts in enumerate(simplices):
-        est = smear_integral(preset, phi, pts, n_samples, seed, T=T, stream=i)
-        denom = vol(pts).value
+    simplices, denoms = _random_test_simplices(rng, n, m)
+    per, ests = [], []
+    for i, (pts, denom) in enumerate(zip(simplices, denoms)):
+        est = smear_integral(preset, phi, [IdealPoint(p) for p in pts],
+                             n_samples, seed, T=T, stream=i)
         lam = est.value / denom
         sig = max(est.std_error / abs(denom), SIGMA_FLOOR)
         bias = est.bias_bound / abs(denom)
         per.append((lam, sig, bias))
+        ests.append(est)
 
     lams = np.array([p[0] for p in per])
     sigs = np.array([p[1] for p in per])
@@ -123,6 +150,8 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
                 consistent = False
     return RatioEstimate(value=value, std_error=std_error, bias_bound=bias,
                          n_samples=n_samples * m, seed=seed,
+                         ess_frac=min(e.ess_frac for e in ests),
+                         max_weight=max(e.max_weight for e in ests),
                          consistent=consistent, per_simplex=tuple(per))
 
 
@@ -144,4 +173,5 @@ def vol_of_rep(preset: LatticePreset, phi, n_samples: int, seed,
     c = preset.covolume
     return McEstimate(value=lam.value * c, std_error=lam.std_error * c,
                       bias_bound=lam.bias_bound * c,
-                      n_samples=lam.n_samples, seed=seed)
+                      n_samples=lam.n_samples, seed=seed,
+                      ess_frac=lam.ess_frac, max_weight=lam.max_weight)

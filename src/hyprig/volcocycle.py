@@ -10,6 +10,7 @@ regular simplex with positive orientation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,7 +56,8 @@ def _vertex_list(simplex):
 # -- Lobachevsky function ---------------------------------------------------
 
 _ZETA_TERMS = 40
-_ZETA = zeta(2 * np.arange(1, _ZETA_TERMS + 1))
+_K = np.arange(1, _ZETA_TERMS + 1)
+_SERIES = zeta(2 * _K) / (_K * (2 * _K + 1))
 
 
 def lobachevsky(theta):
@@ -67,19 +69,14 @@ def lobachevsky(theta):
     below 1e-15 there.
     """
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
     t = np.mod(theta + 0.5 * np.pi, np.pi) - 0.5 * np.pi
-    out = np.zeros_like(t, dtype=float)
-    nz = np.abs(t) > 1e-300
-    tn = t[nz]
-    acc = tn - tn * np.log(np.abs(2.0 * tn))
-    ratio = (tn / np.pi) ** 2
-    power = tn.copy()
-    for k in range(1, _ZETA_TERMS + 1):
-        power = power * ratio
-        acc = acc + (_ZETA[k - 1] / (k * (2 * k + 1))) * power
-    out[nz] = acc
-    return float(out) if scalar else out
+    # L(0) = 0: there log|2t| is replaced by log 1
+    acc = t - t * np.log(np.abs(2.0 * t) + (t == 0.0))
+    ratio = (t / np.pi) ** 2
+    # ratio^k, k = 1.._ZETA_TERMS, along a new last axis
+    powers = np.cumprod(ratio[..., None] * np.ones(_ZETA_TERMS), axis=-1)
+    out = acc + t * (powers @ _SERIES)
+    return float(out) if t.ndim == 0 else out
 
 
 V2 = math.pi
@@ -94,12 +91,16 @@ def _null_lift_matrix(points):
     return np.array([np.append(p.coords, 1.0) for p in points])
 
 
-def _coincident_pair(points, tol=COINCIDENCE_TOL):
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if np.linalg.norm(points[i].coords - points[j].coords) < tol:
-                return True
-    return False
+def _coincident_rows(P):
+    """Per simplex of a batch P (N, k, n): whether two vertices coincide."""
+    i, j = np.array(list(itertools.combinations(range(P.shape[1]), 2))).T
+    diff = P[:, i] - P[:, j]
+    gaps2 = np.einsum("...i,...i->...", diff, diff)
+    return np.any(gaps2 < COINCIDENCE_TOL ** 2, axis=1)
+
+
+def _coincident_pair(points) -> bool:
+    return bool(_coincident_rows(np.array([p.coords for p in points])[None])[0])
 
 
 def orientation_sign(simplex) -> int:
@@ -115,59 +116,77 @@ def orientation_sign(simplex) -> int:
 
 
 # -- exact low-dimensional evaluators ---------------------------------------
+#
+# The batch forms take an (N, n+1, n) array of vertex coordinates on the
+# sphere; the scalar vol2/vol3 wrap them, so each formula lives once.
+
+def vol2_batch(P) -> np.ndarray:
+    """Signed areas of N ideal triangles, P of shape (N, 3, 2): exactly
+    +pi or -pi by cyclic orientation, exactly 0 when two vertices
+    coincide or the null-lift determinant is below the degeneracy cut."""
+    P = np.asarray(P, dtype=float)
+    lifts = np.concatenate([P, np.ones(P.shape[:2] + (1,))], axis=2)
+    d = np.linalg.det(lifts)
+    out = np.where(d > 0, math.pi, -math.pi)
+    out[(np.abs(d) < DEGENERATE_DET_TOL) | _coincident_rows(P)] = 0.0
+    return out
+
 
 def vol2(simplex) -> VolumeResult:
     """Signed area of an ideal triangle: +/- pi by cyclic orientation."""
-    points = _vertex_list(simplex)
-    if _coincident_pair(points):
-        return VolumeResult(0.0, 0.0, "exact2")
-    s = orientation_sign(points)
-    return VolumeResult(s * math.pi, 0.0, "exact2")
+    P = np.array([p.coords for p in _vertex_list(simplex)])
+    return VolumeResult(float(vol2_batch(P[None])[0]), 0.0, "exact2")
 
 
-def _homogeneous_chart(xi: IdealPoint):
-    """Boundary point of H^3 as a projective pair (a : b), w = a/b, in the
-    half-space chart w = (xi_1 + i xi_2)/(1 - xi_3).  Both representatives
-    agree where defined; the better conditioned one is returned."""
-    x, y, z = xi.coords
-    a1, b1 = complex(x, y), complex(1.0 - z)
-    a2, b2 = complex(1.0 + z), complex(x, -y)
+def _homogeneous_chart(P):
+    """Boundary points of H^3, rows of P (..., 3), as projective pairs
+    (a : b), w = a/b, in the half-space chart w = (xi_1 + i xi_2)/(1 - xi_3).
+    Both representatives agree where defined; the better conditioned one
+    is returned."""
+    x, y, z = P[..., 0], P[..., 1], P[..., 2]
+    w = x + 1j * y
     # near the poles one of the representatives degenerates to (0, 0);
-    # the other always has norm about 1
-    if abs(a1) ** 2 + abs(b1) ** 2 >= abs(a2) ** 2 + abs(b2) ** 2:
-        return a1, b1
-    return a2, b2
+    # on the sphere their squared norms are 2 - 2 xi_3 and 2 + 2 xi_3, so
+    # the lower hemisphere takes the first
+    south = z <= 0.0
+    return np.where(south, w, 1.0 + z), np.where(south, 1.0 - z, w.conj())
 
 
-def _bloch_wigner_sum(z: complex) -> float:
-    """L(arg z) + L(arg 1/(1-z)) + L(arg (z-1)/z): the volume of the ideal
-    tetrahedron with cross-ratio z, signed by the half-plane of z."""
-    angles = np.array([np.angle(z), np.angle(1.0 / (1.0 - z)),
-                       np.angle((z - 1.0) / z)])
-    return float(np.sum(lobachevsky(angles)))
+def vol3_batch(P) -> np.ndarray:
+    """Signed volumes of N ideal tetrahedra, P of shape (N, 4, 3), via
+    the cross-ratio of the vertices on the Riemann sphere.
 
-
-def vol3(simplex) -> VolumeResult:
-    """Signed volume of an ideal tetrahedron via the cross-ratio of its
-    vertices on the Riemann sphere."""
-    points = _vertex_list(simplex)
-    if _coincident_pair(points):
-        return VolumeResult(0.0, 0.0, "lobachevsky3")
-    pairs = [_homogeneous_chart(p) for p in points]
+    The tetrahedron with cross-ratio z has volume
+    L(arg z) + L(arg 1/(1-z)) + L(arg (z-1)/z), signed by the half-plane
+    of z; coincident vertices and real cross-ratios give exactly 0."""
+    P = np.asarray(P, dtype=float)
+    a, b = _homogeneous_chart(P)
 
     def det(i, j):
-        return pairs[i][0] * pairs[j][1] - pairs[j][0] * pairs[i][1]
+        return a[:, i] * b[:, j] - a[:, j] * b[:, i]
 
     # Cross-ratio sending vertices 0, 1, 2 to 0, 1, infinity, evaluated at
     # vertex 3; projective determinants avoid the point at infinity.
     num = det(3, 0) * det(1, 2)
     den = det(3, 2) * det(1, 0)
-    if den == 0:
-        return VolumeResult(0.0, 0.0, "lobachevsky3")
-    z = num / den
-    if z.imag == 0 or z in (0.0, 1.0):
-        return VolumeResult(0.0, 1e-12, "lobachevsky3")
-    return VolumeResult(_bloch_wigner_sum(z), 1e-12, "lobachevsky3")
+    flat = (den == 0) | _coincident_rows(P)
+    z = num / np.where(flat, 1.0, den)
+    flat |= (z.imag == 0) | (z == 0.0) | (z == 1.0)
+    z = np.where(flat, 1j, z)
+    angles = np.stack([np.angle(z), np.angle(1.0 / (1.0 - z)),
+                       np.angle((z - 1.0) / z)], axis=1)
+    out = np.sum(lobachevsky(angles), axis=1)
+    out[flat] = 0.0
+    return out
+
+
+def vol3(simplex) -> VolumeResult:
+    """Signed volume of an ideal tetrahedron via the cross-ratio of its
+    vertices on the Riemann sphere."""
+    P = np.array([p.coords for p in _vertex_list(simplex)])
+    value = float(vol3_batch(P[None])[0])
+    # the exact zeros of degenerate tetrahedra carry no series truncation
+    return VolumeResult(value, 0.0 if value == 0.0 else 1e-12, "lobachevsky3")
 
 
 # -- general quadrature evaluator ------------------------------------------
@@ -258,6 +277,19 @@ def vol(simplex, tol: float = 1e-6, **kw) -> VolumeResult:
     if n == 3:
         return vol3(points)
     return voln(points, tol=tol, **kw)
+
+
+def vol_batch(P, tol: float = 1e-6) -> np.ndarray:
+    """Signed volumes of N ideal simplices, P of shape (N, n+1, n): the
+    exact batch forms for n = 2, 3, quadrature simplex by simplex above."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[-1]
+    if n == 2:
+        return vol2_batch(P)
+    if n == 3:
+        return vol3_batch(P)
+    return np.array([voln([IdealPoint(p) for p in s], tol=tol).value
+                     for s in P])
 
 
 def vol_defect(points, tol: float = 1e-6) -> float:

@@ -176,10 +176,15 @@ def test_tabulated_lookup_and_out_of_table():
     phi = make_boundary_map("tabulated", points=pts, images=images, radius=1e-6)
     for p, im in zip(pts, images):
         assert np.array_equal(eval_map(phi, p).coords, im.coords)
+    table = np.array([p.coords for p in pts])
+    assert np.array_equal(phi.evaluate_many(table),
+                          np.array([im.coords for im in images]))
     far = random_ideal(rng, 3)
     if min(np.linalg.norm(far.coords - p.coords) for p in pts) > 1e-6:
         with pytest.raises(OutOfTable):
             eval_map(phi, far)
+        with pytest.raises(OutOfTable):
+            phi.evaluate_many(np.vstack([table, far.coords]))
 
 
 def test_constant_map():

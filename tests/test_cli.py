@@ -118,6 +118,21 @@ def test_preset_list_and_verify(capsys):
     assert out["covolume"] == pytest.approx(2 * V3, abs=1e-9)
 
 
+def test_preset_list_follows_search_path(tmp_path, monkeypatch, capsys):
+    (tmp_path / "zz_local.json").write_text("{}")
+    (tmp_path / "figure_eight_3d.json").write_text("{}")
+    (tmp_path / "notes.txt").write_text("")
+    monkeypatch.setenv("HYPRIG_PRESET_DIR", str(tmp_path))
+    code, out = run_json(capsys, ["preset", "list"])
+    assert code == 0
+    # the override directory first, then the packaged presets, each once
+    assert out["presets"] == ["figure_eight_3d", "zz_local",
+                              "test_reflection_2d"]
+    monkeypatch.setenv("HYPRIG_PRESET_DIR", str(tmp_path / "missing"))
+    code, out = run_json(capsys, ["preset", "list"])
+    assert out["presets"] == ["figure_eight_3d", "test_reflection_2d"]
+
+
 def test_preset_verify_needs_name():
     with pytest.raises(SystemExit) as exc:
         run(["preset", "verify"])
@@ -141,6 +156,8 @@ def test_smear_with_csv_and_out(tmp_path, capsys):
     assert code == 0
     assert out["milnor_wood"]["passes"]
     assert out["config"]["seed"] == 5
+    assert 0.0 < out["diagnostics"]["ess_frac"] <= 1.0
+    assert out["diagnostics"]["max_weight"] > 0.0
     saved = json.loads(out_path.read_text())
     assert saved["lambda"] == out["lambda"]
     rows = csv_path.read_text().strip().splitlines()
@@ -156,6 +173,8 @@ def test_vol_of_rep_command(capsys):
     assert code == 0
     band = 3 * out["std_error"] + out["bias_bound"]
     assert abs(out["vol_of_rep"] - 2 * V3) < band
+    assert 0.0 < out["diagnostics"]["ess_frac"] <= 1.0
+    assert out["diagnostics"]["max_weight"] > 0.0
     assert out["covolume"] == pytest.approx(2 * V3, abs=1e-9)
 
 

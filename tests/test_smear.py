@@ -129,10 +129,12 @@ def test_vol_of_rep(fig8):
 
 def test_test_simplices_volume_floor():
     rng = np.random.default_rng(9)
-    sims = _random_test_simplices(rng, 3, 6)
-    assert len(sims) == 6
-    for pts in sims:
-        assert abs(vol(pts).value) >= 0.1 * V3
+    sims, vols = _random_test_simplices(rng, 3, 6)
+    assert sims.shape == (6, 4, 3) and vols.shape == (6,)
+    for pts, v in zip(sims, vols):
+        # the returned volumes are the ones volume_ratio divides by
+        assert vol([IdealPoint(p) for p in pts]).value == v
+        assert abs(v) >= 0.1 * V3
     # an exhausted budget reports instead of silently degrading
     with pytest.raises(IllConditioned):
         _random_test_simplices(np.random.default_rng(0), 3, 50, max_tries=3)
