@@ -26,6 +26,7 @@ from .hypcore import (
     Isometry,
     SpacePoint,
     act_ideal,
+    act_ideal_many,
     convert,
     make_isometry,
     translation_to,
@@ -165,16 +166,7 @@ def eval_map(phi: BoundaryMap, xi: IdealPoint) -> IdealPoint:
     return phi.evaluate(xi)
 
 
-def _act_ideal_many(g: Isometry, X: np.ndarray) -> np.ndarray:
-    """act_ideal on the rows of X: the null lifts (x, 1) through the
-    matrix, then back to unit vectors."""
-    M = g.matrix
-    Y = X @ M[:, :-1].T + M[:, -1]
-    V = Y[:, :-1] / Y[:, -1:]
-    return V / np.linalg.norm(V, axis=1, keepdims=True)
-
-
-# entries of the query-by-table distance block a tabulated lookup holds
+# entries of the query-by-table difference block a tabulated lookup holds
 _TABLE_BLOCK = 1 << 20
 
 
@@ -191,7 +183,7 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
     if kind == "planted_isometry":
         g = params["g"]
         return BoundaryMap(kind, dict(params), lambda xi: act_ideal(g, xi),
-                           lambda X: _act_ideal_many(g, X))
+                           lambda X: act_ideal_many(g.matrix, X))
 
     if kind == "perturbed":
         g = params["g"]
@@ -211,7 +203,7 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
             return IdealPoint(out / np.linalg.norm(out))
 
         def ev_many(X):
-            eta = _act_ideal_many(g, X)
+            eta = act_ideal_many(g.matrix, X)
             raw = (X @ A.T + c) / bound
             tang = raw - np.einsum("ij,ij->i", raw, eta)[:, None] * eta
             out = eta + amplitude * tang
@@ -232,17 +224,18 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
                 raise OutOfTable(f"nearest table point at {d[i]:.3e} > {radius}")
             return images[i]
 
-        p2 = np.einsum("ij,ij->i", pts, pts)
-        step = max(1, _TABLE_BLOCK // len(pts))
+        step = max(1, _TABLE_BLOCK // pts.size)
 
         def ev_many(X):
-            # nearest rows by |x - p|^2 - |x|^2 = |p|^2 - 2 x.p, a block of
-            # queries at a time; the winners' distances are recomputed
+            # the distances ev computes, a block of queries at a time, so
+            # that near-coincident table points rank as they do there
             idx = np.empty(len(X), dtype=int)
+            d = np.empty(len(X))
             for k in range(0, len(X), step):
-                idx[k:k + step] = np.argmin(p2 - 2.0 * X[k:k + step] @ pts.T,
-                                            axis=1)
-            d = np.linalg.norm(pts[idx] - X, axis=1)
+                diff = X[k:k + step, None, :] - pts
+                dk = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+                idx[k:k + step] = np.argmin(dk, axis=1)
+                d[k:k + step] = dk[np.arange(len(dk)), idx[k:k + step]]
             if np.any(d > radius):
                 raise OutOfTable(
                     f"nearest table point at {d.max():.3e} > {radius}")

@@ -202,6 +202,24 @@ def act_ideal(g: Isometry, xi: IdealPoint) -> IdealPoint:
     return IdealPoint(v / np.linalg.norm(v))
 
 
+def act_ideal_many(M, X) -> np.ndarray:
+    """act_ideal in array form: each isometry matrix of M (..., n+1, n+1)
+    applied to a block of boundary points X (..., k, n), the leading axes
+    broadcast, giving unit vectors (..., k, n).
+
+    One matrix on N points is M (n+1, n+1) with X (N, n); N matrices on
+    the same k points is M (N, n+1, n+1) with X (k, n)."""
+    M = np.asarray(M, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if M.shape[-1] != X.shape[-1] + 1:
+        raise DimensionMismatch(f"isometry of H^{M.shape[-1] - 1} on point "
+                                f"of S^{X.shape[-1] - 1}")
+    lifts = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+    Y = np.matmul(lifts, np.swapaxes(M, -1, -2))
+    V = Y[..., :-1] / Y[..., -1:]
+    return V / np.linalg.norm(V, axis=-1, keepdims=True)
+
+
 def _lift(p) -> np.ndarray:
     if isinstance(p, SpacePoint):
         return p.coords

@@ -21,7 +21,7 @@ from .boundary import evaluate_many
 from .errors import IllConditioned
 # act_ideal is not called here; hyprig_bench's tracer patches
 # smear.act_ideal by name, so the name stays importable from this module.
-from .hypcore import IdealPoint, act_ideal  # noqa: F401
+from .hypcore import IdealPoint, act_ideal, act_ideal_many  # noqa: F401
 from .lattice import (
     LatticePreset,
     default_truncation,
@@ -70,11 +70,7 @@ def smear_integral(preset: LatticePreset, phi, xi, n_samples: int, seed,
     if T is None:
         T = default_truncation(preset)
     batch = sample_haar(preset, seed, n_samples, T=T, stream=stream)
-    # every vertex through every sample: null lifts (v, 1) -> (N, n+1, n+1)
-    lifts = np.concatenate([verts, np.ones((n + 1, 1))], axis=1)
-    Y = np.matmul(lifts, batch.matrices.transpose(0, 2, 1))
-    moved = Y[..., :-1] / Y[..., -1:]
-    moved /= np.linalg.norm(moved, axis=2, keepdims=True)
+    moved = act_ideal_many(batch.matrices, verts)  # (N, n+1, n)
     images = evaluate_many(phi, moved.reshape(-1, n)).reshape(moved.shape)
     w = batch.weights
     vals = w * batch.signs * vol_batch(images)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DegenerateSimplex, UnsupportedDimension
 from .hypcore import IdealPoint
@@ -56,8 +55,20 @@ def _vertex_list(simplex):
 # -- Lobachevsky function ---------------------------------------------------
 
 _ZETA_TERMS = 40
+
+
+def _zeta_even(m: int) -> np.ndarray:
+    """zeta(2), zeta(4), ..., zeta(2m), from zeta(2) = pi^2/6 and
+    (k + 1/2) zeta(2k) = sum_{j=1}^{k-1} zeta(2j) zeta(2k - 2j)."""
+    z = [math.pi ** 2 / 6.0]
+    for k in range(2, m + 1):
+        z.append(math.fsum(z[j - 1] * z[k - j - 1] for j in range(1, k))
+                 / (k + 0.5))
+    return np.array(z)
+
+
 _K = np.arange(1, _ZETA_TERMS + 1)
-_SERIES = zeta(2 * _K) / (_K * (2 * _K + 1))
+_SERIES = _zeta_even(_ZETA_TERMS) / (_K * (2 * _K + 1))
 
 
 def lobachevsky(theta):
@@ -279,7 +290,7 @@ def vol(simplex, tol: float = 1e-6, **kw) -> VolumeResult:
     return voln(points, tol=tol, **kw)
 
 
-def vol_batch(P, tol: float = 1e-6) -> np.ndarray:
+def vol_batch(P) -> np.ndarray:
     """Signed volumes of N ideal simplices, P of shape (N, n+1, n): the
     exact batch forms for n = 2, 3, quadrature simplex by simplex above."""
     P = np.asarray(P, dtype=float)
@@ -288,8 +299,7 @@ def vol_batch(P, tol: float = 1e-6) -> np.ndarray:
         return vol2_batch(P)
     if n == 3:
         return vol3_batch(P)
-    return np.array([voln([IdealPoint(p) for p in s], tol=tol).value
-                     for s in P])
+    return np.array([voln([IdealPoint(p) for p in s]).value for s in P])
 
 
 def vol_defect(points, tol: float = 1e-6) -> float:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from hyprig.boundary import make_boundary_map
-from hyprig.hypcore import IdealPoint, act_ideal, random_isometry
+from hyprig.errors import DimensionMismatch
+from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many,
+                            random_isometry)
 from hyprig.lattice import default_truncation, load_preset, sample_haar
 from hyprig.smear import smear_integral, volume_ratio
 from hyprig.volcocycle import orientation_sign, vol, vol2_batch, vol3_batch, voln
@@ -73,6 +75,48 @@ def test_evaluate_many_matches_evaluate(presets):
             one = np.array([phi(IdealPoint(x)).coords for x in X])
             assert many.shape == X.shape
             assert np.max(np.abs(many - one)) <= 1e-14, kind
+
+
+def test_act_ideal_many_matches_act_ideal():
+    rng = np.random.default_rng(7)
+    gs = [random_isometry(rng, 3, 2.0) for _ in range(6)]
+    X = unit_rows(rng, (5, 3))
+    one = act_ideal_many(gs[0].matrix, X)
+    many = act_ideal_many(np.array([g.matrix for g in gs]), X)
+    assert one.shape == X.shape and many.shape == (6, 5, 3)
+    for i, g in enumerate(gs):
+        ref = np.array([act_ideal(g, IdealPoint(x)).coords for x in X])
+        assert np.max(np.abs(many[i] - ref)) <= 1e-14
+        if i == 0:
+            assert np.max(np.abs(one - ref)) <= 1e-14
+    with pytest.raises(DimensionMismatch):
+        act_ideal_many(random_isometry(rng, 2).matrix, X)
+    with pytest.raises(DimensionMismatch):
+        make_boundary_map("planted_isometry",
+                          g=random_isometry(rng, 2)).evaluate_many(X)
+
+
+def test_tabulated_batch_separates_near_coincident_points():
+    """Table points 1e-9 apart: the batch lookup picks the row the scalar
+    one does, and so the same image."""
+    rng = np.random.default_rng(13)
+    p = unit_rows(rng, 3)
+    t = np.cross(p, unit_rows(rng, 3))
+    t /= np.linalg.norm(t)
+    q = p + 1e-9 * t
+    q /= np.linalg.norm(q)
+    others = unit_rows(rng, (20, 3))
+    table = np.vstack([p, q, others])
+    images = unit_rows(rng, (len(table), 3))
+    phi = make_boundary_map(
+        "tabulated", points=[IdealPoint(x) for x in table],
+        images=[IdealPoint(y) for y in images], radius=1e-3)
+    X = p + np.linspace(-1.0, 2.0, 31)[:, None] * (q - p)
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    one = np.array([phi(IdealPoint(x)).coords for x in X])
+    assert np.array_equal(phi.evaluate_many(X), one)
+    # both table points win for some queries
+    assert {tuple(y) for y in one} == {tuple(images[0]), tuple(images[1])}
 
 
 def _near_flat_tetrahedron(rng, delta):

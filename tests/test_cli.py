@@ -178,6 +178,20 @@ def test_vol_of_rep_command(capsys):
     assert out["covolume"] == pytest.approx(2 * V3, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["smear", "vol-of-rep"])
+def test_map_of_wrong_dimension_exits_1(tmp_path, capsys, command):
+    g = random_isometry(np.random.default_rng(4), 2, 1.0)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(
+        map_to_json(make_boundary_map("planted_isometry", g=g))))
+    code = run([command, "--preset", "figure_eight_3d", "--map",
+                str(map_path), "--samples", "40", "--seed", "1",
+                "--simplices", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "DimensionMismatch"
+
+
 def test_rigidity_pipeline_via_cli(tmp_path, capsys):
     rng = np.random.default_rng(9)
     g = random_isometry(rng, 3, 1.0, orientation=1)
