@@ -162,10 +162,6 @@ def evaluate_many(phi, X) -> np.ndarray:
     return np.array([phi(IdealPoint(x)).coords for x in X]).reshape(X.shape)
 
 
-def eval_map(phi: BoundaryMap, xi: IdealPoint) -> IdealPoint:
-    return phi.evaluate(xi)
-
-
 # entries of the query-by-table difference block a tabulated lookup holds
 _TABLE_BLOCK = 1 << 20
 

@@ -59,8 +59,7 @@ def _map_from_arg(spec, n):
 
 def cmd_vol(args):
     pts = _simplex_from_file(args.simplex)
-    r = vol(pts, tol=args.tol, threads=args.threads) \
-        if len(pts) - 1 >= 4 else vol(pts, tol=args.tol)
+    r = vol(pts, tol=args.tol)
     _emit({"value": r.value, "abs_error": r.abs_error, "method": r.method}, args)
     return 0
 
@@ -232,7 +231,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("vol", help="signed volume of an ideal simplex")
     p.add_argument("--n", type=int, required=True)
@@ -340,6 +338,10 @@ def run(argv) -> int:
         ap.exit(2, "density-probe without --target needs --seed\n")
     if args.command == "preset" and args.action == "verify" and not args.name:
         ap.exit(2, "preset verify needs a name\n")
+    if args.command in ("smear", "vol-of-rep") and (
+            args.simplices < 1 or args.samples < 2 * args.simplices):
+        ap.exit(2, f"{args.command} needs --simplices >= 1 and at least two "
+                   "--samples per simplex\n")
     try:
         return args.func(args)
     except HyprigError as exc:

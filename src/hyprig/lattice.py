@@ -32,7 +32,7 @@ from .hypcore import (
     identity_isometry,
     make_isometry,
 )
-from .volcocycle import v_n, vol
+from .volcocycle import circumsphere, halfspace_chart, v_n, vol
 
 RELATOR_TOL = 1e-8
 GLUING_TOL = 1e-8
@@ -139,16 +139,9 @@ def _chart_cell(points):
     if len(apex) != 1:
         raise PresetCorrupt("each cell needs exactly one vertex at the cusp "
                             "point at infinity")
-    base = []
-    for i, p in enumerate(points):
-        if i != apex[0]:
-            c = p.coords
-            base.append(c[:-1] / (1.0 - c[-1]))
-    W = np.array(base)
-    A = 2.0 * (W[1:] - W[0])
-    b = np.sum(W[1:] ** 2, axis=1) - np.sum(W[0] ** 2)
-    center = np.linalg.solve(A, b)
-    radius = float(np.linalg.norm(W[0] - center))
+    W = halfspace_chart(np.array([p.coords for i, p in enumerate(points)
+                                  if i != apex[0]]))
+    center, radius = circumsphere(W)
     d = n - 1
     area = abs(np.linalg.det((W[1:] - W[0]).T)) / math.factorial(d) \
         if d > 1 else abs(W[1, 0] - W[0, 0])

@@ -13,8 +13,7 @@ max-heap on the two-rule error estimate.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -91,131 +90,126 @@ def _duffy_rules(d, sqrt_first):
     return _DUFFY_CACHE[key]
 
 
-@dataclass
-class Cell:
-    vertices: np.ndarray        # (d+1, d), singular vertex (if any) first
-    singular: int               # count of singular vertices (0 or 1 here)
-    value: float = 0.0
-    error: float = 0.0
+def _child_table(d):
+    """Red refinement as barycentric rows: T[k] @ V gives the vertices of
+    child k of the simplex with vertex rows V.  Child j <= d is the corner
+    child of vertex j, listed first, then the midpoints of its edges."""
+    e = np.eye(d + 1)
 
-    def integrate(self, f):
-        V = self.vertices
-        d = V.shape[1]
-        E = V[1:] - V[0]
-        jac = abs(np.linalg.det(E))
-        llo, wlo, lhi, whi = _duffy_rules(d, self.singular > 0)
+    def m(i, j):
+        return 0.5 * (e[i] + e[j])
 
-        def run(lam, wts):
-            X = V[0] + lam[:, 1:] @ E
-            return jac * float(wts @ f(X))
-
-        hi = run(lhi, whi)
-        lo = run(llo, wlo)
-        self.value = hi
-        self.error = abs(hi - lo)
-        return self
-
-
-def _midpoint_children(V):
-    """Red refinement of a simplex given by rows of V."""
-    d = V.shape[1]
-    if d == 1:
-        m = 0.5 * (V[0] + V[1])
-        return [np.array([V[0], m]), np.array([V[1], m])]
+    kids = [[e[j]] + [m(j, k) for k in range(d + 1) if k != j]
+            for j in range(d + 1)]
     if d == 2:
-        m01 = 0.5 * (V[0] + V[1])
-        m02 = 0.5 * (V[0] + V[2])
-        m12 = 0.5 * (V[1] + V[2])
-        return [np.array([V[0], m01, m02]),
-                np.array([V[1], m01, m12]),
-                np.array([V[2], m02, m12]),
-                np.array([m01, m02, m12])]
-    # d = 3: four corner tetrahedra plus the central octahedron cut along
-    # the (m01, m23) diagonal.
-    m = {(i, j): 0.5 * (V[i] + V[j]) for i in range(4) for j in range(i + 1, 4)}
-    kids = [np.array([V[0], m[0, 1], m[0, 2], m[0, 3]]),
-            np.array([V[1], m[0, 1], m[1, 2], m[1, 3]]),
-            np.array([V[2], m[0, 2], m[1, 2], m[2, 3]]),
-            np.array([V[3], m[0, 3], m[1, 3], m[2, 3]])]
-    a, b = m[0, 1], m[2, 3]
-    kids += [np.array([a, b, m[0, 2], m[0, 3]]),
-             np.array([a, b, m[0, 3], m[1, 3]]),
-             np.array([a, b, m[1, 3], m[1, 2]]),
-             np.array([a, b, m[1, 2], m[0, 2]])]
-    return kids
+        kids.append([m(0, 1), m(0, 2), m(1, 2)])
+    elif d == 3:
+        # the central octahedron, cut along the (m01, m23) diagonal
+        a, b = m(0, 1), m(2, 3)
+        kids += [[a, b, m(0, 2), m(0, 3)], [a, b, m(0, 3), m(1, 3)],
+                 [a, b, m(1, 3), m(1, 2)], [a, b, m(1, 2), m(0, 2)]]
+    elif d != 1:
+        raise ValueError(f"red refinement covers d = 1..3, got {d}")
+    return np.array(kids)
 
 
-def _subdivide(cell: Cell):
-    kids = _midpoint_children(cell.vertices)
-    out = []
-    for V in kids:
-        # Only an original singular vertex keeps the flag; midpoints are
-        # strictly inside the singular sphere.  Corner children inherit
-        # their corner first by construction.
-        sing = 1 if (cell.singular and np.allclose(V[0], cell.vertices[0])) else 0
-        out.append(Cell(V, sing))
-    return out
+_CHILD_CACHE: dict = {}
 
 
-def integrate_simplex(f, vertices, singular_mask, tol, max_evals=2_000_000,
-                      threads=1):
+def _children(d):
+    if d not in _CHILD_CACHE:
+        _CHILD_CACHE[d] = _child_table(d)
+    return _CHILD_CACHE[d]
+
+
+_STEP_CACHE: dict = {}
+
+
+def _step_rules(d, singular):
+    """Nodes and weights for one refinement step, whose children carry the
+    singular flags ``singular``: barycentric nodes of shape (K, d+1, P),
+    each child's 9^d high-order nodes followed by its 5^d low-order ones,
+    and the (K, 9^d) and (K, 5^d) weights."""
+    key = (d, singular)
+    if key not in _STEP_CACHE:
+        rules = [_duffy_rules(d, s) for s in singular]
+        lam = np.stack([np.concatenate([lhi, llo]).T
+                        for llo, _, lhi, _ in rules])
+        whi = np.stack([r[3] for r in rules])
+        wlo = np.stack([r[1] for r in rules])
+        _STEP_CACHE[key] = (lam, whi, wlo)
+    return _STEP_CACHE[key]
+
+
+def integrate_simplex(f, vertices, singular_mask, tol, max_evals=2_000_000):
     """Integrate f over the simplex, adaptively, to absolute accuracy tol.
 
-    ``f`` is evaluated in batches: it maps an (N, d) array of points to
-    the (N,) array of values.  ``singular_mask[i]`` marks vertex i as
-    lying on the singular locus.
+    ``f`` maps an (N, d) array of points to the (N,) array of values.  It
+    is called once per refinement step, on the quadrature nodes of all
+    children of the refined cell at once, laid out coordinate-major
+    (Fortran order).  ``singular_mask[i]`` marks vertex i as lying on the
+    singular locus.
     Returns (value, error_estimate, evals).  Raises
     :class:`QuadratureBudgetExceeded` when the budget runs out first.
     """
     V = np.asarray(vertices, dtype=float)
     d = V.shape[1]
-    per_cell = _LOW_ORDER ** d + _HIGH_ORDER ** d
+    table = _children(d)
+    K = len(table)
+    n_hi = _HIGH_ORDER ** d
+    step_evals = K * (_LOW_ORDER ** d + n_hi)
+    # red children have 2^-d of their parent's volume
+    scale = 0.5 ** d
+
+    def refine(V, jac, singular):
+        """Vertices (K, d+1, d), values and error estimates of the
+        children of the cell V, each child with Jacobian jac."""
+        C = table @ V                                    # (K, d+1, d)
+        lam, whi, wlo = _step_rules(d, singular)
+        Xt = np.empty((d, K, lam.shape[2]))
+        np.matmul(C.transpose(0, 2, 1), lam, out=Xt.transpose(1, 0, 2))
+        vals = np.asarray(f(Xt.reshape(d, -1).T), dtype=float).reshape(K, -1)
+        hi = jac * np.einsum("kp,kp->k", vals[:, :n_hi], whi)
+        lo = jac * np.einsum("kp,kp->k", vals[:, n_hi:], wlo)
+        return C, hi.tolist(), np.abs(hi - lo).tolist()
 
     # One forced red refinement separates the singular vertices, so every
-    # live cell has at most one.
-    cells = []
-    for W in _midpoint_children(V):
-        sing = 0
-        order = list(range(d + 1))
-        for k, row in enumerate(W):
-            hits = [i for i in range(d + 1) if singular_mask[i]
-                    and np.allclose(row, V[i])]
-            if hits:
-                sing = 1
-                order = [k] + [j for j in range(d + 1) if j != k]
-                break
-        cells.append(Cell(W[order], sing))
+    # live cell has at most one, listed first: the corner child of a
+    # singular vertex.  After that only corner child 0 of a singular cell
+    # keeps the flag; midpoints lie strictly inside the singular sphere.
+    first = tuple(bool(singular_mask[j]) if j <= d else False
+                  for j in range(K))
+    corner0 = tuple(j == 0 for j in range(K))
+    regular = (False,) * K
 
-    evals = 0
-
-    def eval_cells(batch):
-        nonlocal evals
-        if threads > 1 and len(batch) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(lambda c: c.integrate(f), batch))
-        else:
-            for c in batch:
-                c.integrate(f)
-        evals += per_cell * len(batch)
-
-    eval_cells(cells)
-    heap = [(-c.error, i, c) for i, c in enumerate(cells)]
+    jac = scale * abs(np.linalg.det(V[1:] - V[0]))
+    C, hi, err = refine(V, jac, first)
+    evals = step_evals
+    # heap entries: (-error, order, value, vertices, jacobian, singular)
+    heap = [(-err[k], k, hi[k], C[k], jac, first[k]) for k in range(K)]
     heapq.heapify(heap)
-    counter = len(cells)
-    total_err = sum(c.error for c in cells)
+    counter = K
+    total_err = sum(err)
 
-    while total_err > tol:
-        if evals + per_cell * 8 > max_evals:
+    while True:
+        if total_err <= tol:
+            # the running sum drifts; decide on the exact one
+            total_err = math.fsum(-c[0] for c in heap)
+            if total_err <= tol:
+                break
+        if evals + step_evals > max_evals:
             raise QuadratureBudgetExceeded(
                 f"error {total_err:.3e} > tol {tol:.3e} at {evals} evals")
-        _, _, worst = heapq.heappop(heap)
-        total_err -= worst.error
-        kids = _subdivide(worst)
-        eval_cells(kids)
-        for k in kids:
+        neg_err, _, _, W, jac, sing = heapq.heappop(heap)
+        total_err += neg_err
+        jac *= scale
+        flags = corner0 if sing else regular
+        C, hi, err = refine(W, jac, flags)
+        evals += step_evals
+        for k in range(K):
+            heapq.heappush(heap, (-err[k], counter, hi[k], C[k], jac,
+                                  flags[k]))
             counter += 1
-            heapq.heappush(heap, (-k.error, counter, k))
-            total_err += k.error
+            total_err += err[k]
 
-    value = float(sum(c.value for _, _, c in sorted(heap, key=lambda t: t[1])))
-    return value, float(total_err), evals
+    return math.fsum(c[2] for c in heap), total_err, evals

@@ -117,6 +117,9 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
     agree within 3 sigma (the proportionality of the smeared cochain to
     the volume cocycle).
     """
+    if n_samples < 2:
+        raise ValueError("volume_ratio needs n_samples >= 2 per simplex for "
+                         f"a standard error, got {n_samples}")
     n = preset.n
     if T is None:
         T = default_truncation(preset)

@@ -219,16 +219,17 @@ def _chart_points(points, apex):
     else:
         v = v / nv
         R = np.eye(n) - 2.0 * np.outer(v, v)  # swaps apex and pole
-    out = []
-    for i, p in enumerate(points):
-        if i == apex:
-            continue
-        c = R @ p.coords
-        out.append(c[:-1] / (1.0 - c[-1]))
-    return np.array(out)
+    return halfspace_chart(np.array([R @ p.coords for i, p in enumerate(points)
+                                     if i != apex]))
 
 
-def _circumsphere(W):
+def halfspace_chart(X):
+    """Projection from the pole e_{n-1}: boundary points, the rows of X,
+    to their coordinates on R^{n-1}, the boundary of upper half-space."""
+    return X[:, :-1] / (1.0 - X[:, -1:])
+
+
+def circumsphere(W):
     """Center and radius of the sphere through d+1 points of R^d."""
     A = 2.0 * (W[1:] - W[0])
     b = np.sum(W[1:] ** 2, axis=1) - np.sum(W[0] ** 2)
@@ -237,8 +238,8 @@ def _circumsphere(W):
     return c, r
 
 
-def voln(simplex, tol: float = 1e-6, max_evals: int = 2_000_000,
-         threads: int = 1) -> VolumeResult:
+def voln(simplex, tol: float = 1e-6,
+         max_evals: int = 2_000_000) -> VolumeResult:
     """Signed volume of the straightened ideal simplex by quadrature.
 
     The vertex best separated from the others is rotated to the pole and
@@ -265,7 +266,7 @@ def voln(simplex, tol: float = 1e-6, max_evals: int = 2_000_000,
                         for j, q in enumerate(points) if j != i))
     apex = int(np.argmax(gaps))
     W = _chart_points(points, apex)
-    c, r = _circumsphere(W)
+    c, r = circumsphere(W)
     d = n - 1
 
     def integrand(X):
@@ -275,7 +276,7 @@ def voln(simplex, tol: float = 1e-6, max_evals: int = 2_000_000,
 
     value, err, evals = integrate_simplex(
         integrand, W, [True] * (d + 1), tol=tol * (n - 1),
-        max_evals=max_evals, threads=threads)
+        max_evals=max_evals)
     return VolumeResult(sign * value / (n - 1), err / (n - 1), "quadrature")
 
 

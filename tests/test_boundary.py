@@ -5,7 +5,6 @@ from hyprig.boundary import (
     BoundaryMeasure,
     conformal_barycenter,
     dominant_atom,
-    eval_map,
     make_boundary_map,
     map_from_json,
     map_to_json,
@@ -117,7 +116,7 @@ def test_planted_map_is_exact():
     phi = make_boundary_map("planted_isometry", g=g)
     for _ in range(20):
         xi = random_ideal(rng, 3)
-        assert np.max(np.abs(eval_map(phi, xi).coords
+        assert np.max(np.abs(phi.evaluate(xi).coords
                              - act_ideal(g, xi).coords)) == 0.0
 
 
@@ -128,7 +127,7 @@ def test_planted_preserves_regularity_and_orientation():
         for _ in range(10):
             g = random_isometry(rng, 3, 1.0, orientation=eps)
             phi = make_boundary_map("planted_isometry", g=g)
-            img = [eval_map(phi, v) for v in ref.base.vertices]
+            img = [phi.evaluate(v) for v in ref.base.vertices]
             assert is_regular(img, 1e-8)
             assert orientation_sign(img) == eps
 
@@ -139,7 +138,7 @@ def test_perturbed_zero_amplitude_matches_planted():
     phi0 = make_boundary_map("perturbed", g=g, amplitude=0.0, seed=4)
     for _ in range(20):
         xi = random_ideal(rng, 3)
-        assert np.max(np.abs(eval_map(phi0, xi).coords
+        assert np.max(np.abs(phi0.evaluate(xi).coords
                              - act_ideal(g, xi).coords)) < 1e-15
 
 
@@ -151,7 +150,7 @@ def test_perturbed_stays_within_amplitude():
         worst = 0.0
         for _ in range(200):
             xi = random_ideal(rng, 3)
-            d = np.linalg.norm(eval_map(phi, xi).coords
+            d = np.linalg.norm(phi.evaluate(xi).coords
                                - act_ideal(g, xi).coords)
             worst = max(worst, d)
         assert 0 < worst <= amp + 1e-15
@@ -164,8 +163,8 @@ def test_perturbed_deterministic_in_seed():
     a = make_boundary_map("perturbed", g=g, amplitude=1e-3, seed=5)
     b = make_boundary_map("perturbed", g=g, amplitude=1e-3, seed=5)
     c = make_boundary_map("perturbed", g=g, amplitude=1e-3, seed=6)
-    assert np.array_equal(eval_map(a, xi).coords, eval_map(b, xi).coords)
-    assert not np.array_equal(eval_map(a, xi).coords, eval_map(c, xi).coords)
+    assert np.array_equal(a.evaluate(xi).coords, b.evaluate(xi).coords)
+    assert not np.array_equal(a.evaluate(xi).coords, c.evaluate(xi).coords)
 
 
 def test_tabulated_lookup_and_out_of_table():
@@ -175,14 +174,14 @@ def test_tabulated_lookup_and_out_of_table():
     images = [act_ideal(g, p) for p in pts]
     phi = make_boundary_map("tabulated", points=pts, images=images, radius=1e-6)
     for p, im in zip(pts, images):
-        assert np.array_equal(eval_map(phi, p).coords, im.coords)
+        assert np.array_equal(phi.evaluate(p).coords, im.coords)
     table = np.array([p.coords for p in pts])
     assert np.array_equal(phi.evaluate_many(table),
                           np.array([im.coords for im in images]))
     far = random_ideal(rng, 3)
     if min(np.linalg.norm(far.coords - p.coords) for p in pts) > 1e-6:
         with pytest.raises(OutOfTable):
-            eval_map(phi, far)
+            phi.evaluate(far)
         with pytest.raises(OutOfTable):
             phi.evaluate_many(np.vstack([table, far.coords]))
 
@@ -191,7 +190,7 @@ def test_constant_map():
     rng = np.random.default_rng(37)
     p = random_ideal(rng, 3)
     phi = make_boundary_map("constant", point=p)
-    assert eval_map(phi, random_ideal(rng, 3)) is p
+    assert phi.evaluate(random_ideal(rng, 3)) is p
 
 
 def test_json_round_trips():
@@ -208,5 +207,5 @@ def test_json_round_trips():
                 make_boundary_map("perturbed", g=g, amplitude=1e-3, seed=9),
                 make_boundary_map("constant", point=pts[0])):
         phi2 = map_from_json(map_to_json(phi))
-        assert np.max(np.abs(eval_map(phi2, xi).coords
-                             - eval_map(phi, xi).coords)) < 1e-12
+        assert np.max(np.abs(phi2.evaluate(xi).coords
+                             - phi.evaluate(xi).coords)) < 1e-12

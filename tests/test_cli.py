@@ -8,7 +8,7 @@ from hyprig.boundary import BoundaryMeasure
 from hyprig.cli import run
 from hyprig.hypcore import IdealPoint, mink, random_isometry
 from hyprig.regref import reference_regular
-from hyprig.volcocycle import V3
+from hyprig.volcocycle import V3, v_n
 
 
 def run_json(capsys, argv):
@@ -32,6 +32,23 @@ def test_vol_regular_tetrahedron(tmp_path, capsys):
     assert code == 0
     assert out["value"] == pytest.approx(V3, abs=1e-12)
     assert out["method"] == "lobachevsky3"
+
+
+def test_vol_regular_4_simplex_by_quadrature(tmp_path, capsys):
+    ref = reference_regular(4, 1)
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps([v.coords.tolist() for v in ref.base.vertices]))
+    code, out = run_json(capsys, ["vol", "--n", "4", "--simplex", str(f)])
+    assert code == 0
+    assert out["method"] == "quadrature"
+    assert 0.0 < out["abs_error"] <= 1e-6
+    assert abs(abs(out["value"]) - v_n(4)) <= out["abs_error"]
+
+
+def test_threads_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        run(["vn", "--n", "3", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_vol_unsupported_dimension_exits_1(tmp_path, capsys):
@@ -176,6 +193,16 @@ def test_vol_of_rep_command(capsys):
     assert 0.0 < out["diagnostics"]["ess_frac"] <= 1.0
     assert out["diagnostics"]["max_weight"] > 0.0
     assert out["covolume"] == pytest.approx(2 * V3, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["smear", "vol-of-rep"])
+def test_fewer_than_two_samples_per_simplex_exits_2(capsys, command):
+    # 4 samples over the default 8 simplices leave none per simplex
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--preset", "figure_eight_3d",
+             "--map", "planted-identity", "--samples", "4", "--seed", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["smear", "vol-of-rep"])

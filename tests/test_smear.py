@@ -83,6 +83,13 @@ def test_volume_ratio_planted(fig8):
         assert report["passes"] and report["maximal"]
 
 
+def test_volume_ratio_needs_two_samples(fig8):
+    g = identity_isometry(3)
+    for n_samples in (0, 1):
+        with pytest.raises(ValueError):
+            volume_ratio(fig8, planted(g), n_samples, seed=8, m=4)
+
+
 def test_volume_ratio_constant_map(fig8):
     rng = np.random.default_rng(6)
     xi0 = IdealPoint(np.array([1.0, 0.0, 0.0]))
