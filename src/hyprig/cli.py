@@ -342,6 +342,12 @@ def run(argv) -> int:
             args.simplices < 1 or args.samples < 2 * args.simplices):
         ap.exit(2, f"{args.command} needs --simplices >= 1 and at least two "
                    "--samples per simplex\n")
+    if getattr(args, "depth", 0) < 0:
+        ap.exit(2, f"{args.command} needs --depth >= 0\n")
+    if args.command == "reconstruct" and args.seeds < 2:
+        ap.exit(2, "reconstruct needs --seeds >= 2\n")
+    if args.command == "preserves-regular" and args.trials < 1:
+        ap.exit(2, "preserves-regular needs --trials >= 1\n")
     try:
         return args.func(args)
     except HyprigError as exc:

@@ -3,8 +3,10 @@
 The reference regular simplex has the vertices of a regular Euclidean
 n-simplex inscribed in the boundary sphere, first vertex at e_1.  The
 group generated by reflections in its faces tiles H^3 and is dense in the
-isometry group for n >= 4; `orbit` enumerates reflection words breadth
-first and `density_probe` measures how well they approximate a target.
+isometry group for n >= 4.  `reflection_walk` enumerates reflection words
+breadth first as products of the root's face reflections (the reflection
+in face i of g.s is g r_i g^-1); `orbit` and `rigidity.reconstruct_isometry`
+walk it, and `density_probe` measures how well they approximate a target.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import BudgetExceeded, DegenerateFace
 from .hypcore import (
     IdealPoint,
     Isometry,
-    act_ideal,
+    act_ideal_many,
     hyperplane_through,
     identity_isometry,
     make_isometry,
@@ -84,10 +86,26 @@ def face_reflections(s: RegularSimplex):
     return out
 
 
-def _reflect_simplex(s: RegularSimplex, i: int, r: Isometry) -> RegularSimplex:
-    verts = list(s.base.vertices)
-    verts[i] = act_ideal(r, verts[i])
-    return RegularSimplex(IdealSimplex(tuple(verts)), -s.orientation)
+def reflection_walk(s: RegularSimplex, reflections, depth: int):
+    """Breadth-first reflection words of s, given its face reflections.
+
+    Yields for each length L = 1..depth the letters (K, L), by parent and
+    then new letter, which never repeats the last one; the matrices
+    (K, n+1, n+1), re-orthogonalized every REORTH_EVERY letters; and the
+    vertices (K, n+1, n) of the images of s, where letter i moves vertex i.
+    """
+    R = np.array([r.matrix for r in reflections])
+    X = np.array([v.coords for v in s.base.vertices])
+    letters = np.zeros((1, 0), dtype=np.int64)
+    last = np.array([-1])
+    G = np.eye(len(R))[None]
+    for length in range(1, depth + 1):
+        parent, last = np.nonzero(np.arange(len(R)) != last[:, None])
+        letters = np.concatenate([letters[parent], last[:, None]], axis=1)
+        G = G[parent] @ R[last]
+        if length % REORTH_EVERY == 0:
+            G = np.array([make_isometry(g).matrix for g in G])
+        yield letters, G, act_ideal_many(G, X)
 
 
 def _grid_key(coords):
@@ -127,38 +145,28 @@ def orbit(s: RegularSimplex, depth: int, max_size: int = 200_000):
     Returns (entries, vertex_points): entries are (ReflectionWord,
     RegularSimplex) pairs including the root with the empty word, and
     vertex_points is the deduplicated array of all orbit vertices.
-    Children never immediately undo their parent's last reflection.
+    Raises BudgetExceeded if the orbit has more than max_size simplices.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = s.base.n
-    root = ReflectionWord((), identity_isometry(n))
-    entries = [(root, s)]
+    size, level = 1, n + 1
+    for _ in range(depth):
+        size += level
+        level *= n
+        if size > max_size:
+            raise BudgetExceeded(f"orbit would exceed {max_size} simplices")
+    entries = [(ReflectionWord((), identity_isometry(n)), s)]
     vertices = _VertexSet()
     for v in s.base.vertices:
         vertices.add(v.coords)
-
-    frontier = [(root, s)]
-    for _ in range(depth):
-        if len(entries) + len(frontier) * n > max_size:
-            raise BudgetExceeded(f"orbit would exceed {max_size} simplices")
-        new_frontier = []
-        for word, simplex in frontier:
-            refs = face_reflections(simplex)
-            last = word.letters[-1] if word.letters else None
-            for i, r in enumerate(refs):
-                if i == last:
-                    continue
-                g = r @ word.resolved
-                letters = word.letters + (i,)
-                if len(letters) % REORTH_EVERY == 0:
-                    g = make_isometry(g.matrix)
-                child = _reflect_simplex(simplex, i, r)
-                vertices.add(child.base.vertices[i].coords)
-                entry = (ReflectionWord(letters, g), child)
-                entries.append(entry)
-                new_frontier.append(entry)
-        frontier = new_frontier
+    for letters, G, V in reflection_walk(s, face_reflections(s), depth):
+        sign = (-1) ** letters.shape[1]
+        for word, g, verts in zip(letters.tolist(), G, V):
+            vertices.add(verts[word[-1]])
+            child = IdealSimplex(tuple(IdealPoint(v) for v in verts))
+            entries.append((ReflectionWord(tuple(word), Isometry(g, sign)),
+                            RegularSimplex(child, sign * s.orientation)))
     return entries, np.array(vertices.points)
 
 

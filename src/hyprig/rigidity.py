@@ -4,7 +4,7 @@ A boundary map that sends regular ideal simplices to regular ideal
 simplices is the boundary action of a single isometry; these routines
 make that effective.  `isometry_from_simplex_pair` solves for the unique
 isometry matching two regular simplices vertex by vertex,
-`reconstruct_isometry` certifies the candidate along a reflection orbit
+`reconstruct_isometry` certifies the candidate on `regref.reflection_walk`
 of the seed simplex, `consensus` cross-checks reconstructions from
 independent seeds, and `verify_conjugacy` confirms the resulting
 conjugation of lattice generators.
@@ -27,10 +27,14 @@ from .errors import (
     OrbitMismatch,
     TimeReversing,
 )
-from .hypcore import Isometry, act_ideal, make_isometry, random_isometry
+from .boundary import evaluate_many
+from .hypcore import (Isometry, act_ideal, act_ideal_many, make_isometry,
+                      random_isometry)
 from .lattice import LatticePreset
-from .regref import RegularSimplex, face_reflections, reference_regular
-from .volcocycle import IdealSimplex, is_regular, orientation_sign
+from .regref import (RegularSimplex, face_reflections, reference_regular,
+                     reflection_walk)
+from .volcocycle import (IdealSimplex, is_regular, orientation_sign,
+                         orientation_signs)
 
 REGULARITY_TOL = 1e-9
 IMAGE_TOL = 1e-6
@@ -62,6 +66,8 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     the image at tol; among passing trials the image orientation is
     compared with the source orientation.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     ref = reference_regular(n, 1)
     passes = 0
@@ -140,10 +146,13 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
     reflection orbit.
 
     The candidate h solves phi on the seed vertices alone; it is then
-    tested on every vertex produced by breadth-first face reflections to
-    the given depth, with the image orientation required to alternate in
-    step with the source orientation.
+    tested on the vertex each breadth-first face reflection adds, to the
+    given depth, with the image orientation required to alternate in
+    step with the source orientation.  Each level is mapped by phi in one
+    batch before its checks, which raise at the first failing child.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     src_verts = list(seed_simplex.base.vertices)
     img_verts = [phi(v) for v in src_verts]
     try:
@@ -157,34 +166,23 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
                                    regularity_tol=max(REGULARITY_TOL, image_tol))
 
     worst = 0.0
-    frontier = [((), seed_simplex)]
-    for _ in range(depth):
-        new_frontier = []
-        for word, simplex in frontier:
-            refs = face_reflections(simplex)
-            last = word[-1] if word else None
-            for i, r in enumerate(refs):
-                if i == last:
-                    continue
-                verts = list(simplex.base.vertices)
-                verts[i] = act_ideal(r, verts[i])
-                child = RegularSimplex(IdealSimplex(tuple(verts)),
-                                       -simplex.orientation)
-                xi = verts[i]
-                gap = float(np.max(np.abs(act_ideal(h, xi).coords
-                                          - phi(xi).coords)))
-                worst = max(worst, gap)
-                if gap > tol:
-                    raise OrbitMismatch(
-                        f"orbit vertex deviates by {gap:.3e} > {tol:.3e}",
-                        mismatch=gap)
-                child_img = [phi(v) for v in verts]
-                if orientation_sign(child_img) != child.orientation * img_or \
-                        * seed_simplex.orientation:
-                    raise OrbitMismatch("image orientation fails to alternate",
-                                        mismatch=gap)
-                new_frontier.append((word + (i,), child))
-        frontier = new_frontier
+    for letters, _, V in reflection_walk(seed_simplex,
+                                         face_reflections(seed_simplex), depth):
+        img = evaluate_many(phi, V.reshape(-1, V.shape[2])).reshape(V.shape)
+        added = np.arange(len(V)), letters[:, -1]
+        gaps = np.max(np.abs(act_ideal_many(h.matrix, V[added]) - img[added]),
+                      axis=1)
+        misoriented = orientation_signs(img) != (-1) ** letters.shape[1] * img_or
+        bad = np.flatnonzero((gaps > tol) | misoriented)
+        if len(bad):
+            gap = float(gaps[bad[0]])
+            if gap > tol:
+                raise OrbitMismatch(
+                    f"orbit vertex deviates by {gap:.3e} > {tol:.3e}",
+                    mismatch=gap)
+            raise OrbitMismatch("image orientation fails to alternate",
+                                mismatch=gap)
+        worst = max(worst, float(np.max(gaps)))
     return ReconstructionResult(h=h, max_orbit_mismatch=worst, depth=depth)
 
 

@@ -98,10 +98,6 @@ _VN_CACHE = {2: V2, 3: V3}
 
 # -- orientation and degeneracy --------------------------------------------
 
-def _null_lift_matrix(points):
-    return np.array([np.append(p.coords, 1.0) for p in points])
-
-
 def _coincident_rows(P):
     """Per simplex of a batch P (N, k, n): whether two vertices coincide."""
     i, j = np.array(list(itertools.combinations(range(P.shape[1]), 2))).T
@@ -114,16 +110,19 @@ def _coincident_pair(points) -> bool:
     return bool(_coincident_rows(np.array([p.coords for p in points])[None])[0])
 
 
-def orientation_sign(simplex) -> int:
-    """Orientation of the vertex order: sign of det of the null lifts.
+def orientation_signs(P) -> np.ndarray:
+    """Orientations of N vertex orders P (N, n+1, n): the sign of det of
+    the null lifts, 0 below the degeneracy cut, where the points lie on
+    the boundary sphere of a hyperplane (the straightened simplex is flat)."""
+    P = np.asarray(P, dtype=float)
+    d = np.linalg.det(np.concatenate([P, np.ones(P.shape[:2] + (1,))], axis=2))
+    return np.where(np.abs(d) < DEGENERATE_DET_TOL, 0, np.sign(d)).astype(int)
 
-    Zero when the points lie on the boundary sphere of a hyperplane (the
-    straightened simplex is flat)."""
-    points = _vertex_list(simplex)
-    d = float(np.linalg.det(_null_lift_matrix(points)))
-    if abs(d) < DEGENERATE_DET_TOL:
-        return 0
-    return 1 if d > 0 else -1
+
+def orientation_sign(simplex) -> int:
+    """Orientation of the vertex order, 0 for a flat simplex."""
+    P = np.array([p.coords for p in _vertex_list(simplex)])
+    return int(orientation_signs(P[None])[0])
 
 
 # -- exact low-dimensional evaluators ---------------------------------------
@@ -136,10 +135,8 @@ def vol2_batch(P) -> np.ndarray:
     +pi or -pi by cyclic orientation, exactly 0 when two vertices
     coincide or the null-lift determinant is below the degeneracy cut."""
     P = np.asarray(P, dtype=float)
-    lifts = np.concatenate([P, np.ones(P.shape[:2] + (1,))], axis=2)
-    d = np.linalg.det(lifts)
-    out = np.where(d > 0, math.pi, -math.pi)
-    out[(np.abs(d) < DEGENERATE_DET_TOL) | _coincident_rows(P)] = 0.0
+    out = math.pi * orientation_signs(P)
+    out[_coincident_rows(P)] = 0.0
     return out
 
 

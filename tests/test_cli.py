@@ -205,6 +205,25 @@ def test_fewer_than_two_samples_per_simplex_exits_2(capsys, command):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--n", "3", "--depth", "-1"],
+    ["density-probe", "--n", "3", "--depth", "-2", "--seed", "1"],
+    ["reconstruct", "--map", "planted-identity", "--n", "3", "--seed", "1",
+     "--depth", "-1"],
+    ["reconstruct", "--map", "planted-identity", "--n", "3", "--seed", "1",
+     "--seeds", "1"],
+    ["preserves-regular", "--map", "planted-identity", "--n", "3",
+     "--seed", "1", "--trials", "0"],
+])
+def test_out_of_range_input_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs" in captured.err
+
+
 @pytest.mark.parametrize("command", ["smear", "vol-of-rep"])
 def test_map_of_wrong_dimension_exits_1(tmp_path, capsys, command):
     g = random_isometry(np.random.default_rng(4), 2, 1.0)

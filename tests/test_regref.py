@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from hyprig.errors import BudgetExceeded
-from hyprig.hypcore import act_ideal, mink, random_isometry, straighten
+from hyprig.hypcore import (
+    act_ideal,
+    identity_isometry,
+    minkowski_matrix,
+    random_isometry,
+    straighten,
+)
 from hyprig.regref import (
+    RegularSimplex,
     check_orbit_regularity,
     density_probe,
     face_reflections,
     orbit,
     reference_regular,
+    reflection_walk,
 )
-from hyprig.volcocycle import is_regular, orientation_sign
+from hyprig.volcocycle import IdealSimplex, is_regular, orientation_sign
 
 
 def test_reference_regular_shapes():
@@ -131,6 +139,64 @@ def test_orbit_budget():
     s = reference_regular(3, 1)
     with pytest.raises(BudgetExceeded):
         orbit(s, 10, max_size=50)
+    # depth 1 has n + 1 = 4 children: 5 simplices in all
+    with pytest.raises(BudgetExceeded):
+        orbit(s, 1, max_size=4)
+    assert len(orbit(s, 1, max_size=5)[0]) == 5
+    assert len(orbit(s, 3, max_size=53)[0]) == 53
+
+
+def _per_simplex_bfs(s, depth):
+    """Reference walk: solve the face reflections of every simplex
+    visited, move vertex i by the reflection in face i, and compose that
+    reflection on the left of the parent's word."""
+    levels = []
+    frontier = [((), identity_isometry(s.base.n), s)]
+    for _ in range(depth):
+        level = []
+        for letters, g, simplex in frontier:
+            for i, r in enumerate(face_reflections(simplex)):
+                if letters and i == letters[-1]:
+                    continue
+                verts = list(simplex.base.vertices)
+                verts[i] = act_ideal(r, verts[i])
+                child = RegularSimplex(IdealSimplex(tuple(verts)),
+                                       -simplex.orientation)
+                level.append((letters + (i,), r @ g, child))
+        levels.append(level)
+        frontier = level
+    return levels
+
+
+def test_reflection_walk_matches_per_simplex_bfs():
+    for n in (2, 3, 4):
+        s = reference_regular(n, 1)
+        walk = list(reflection_walk(s, face_reflections(s), 3))
+        ref = _per_simplex_bfs(s, 3)
+        assert len(walk) == len(ref) == 3
+        for (letters, G, V), level in zip(walk, ref):
+            assert [tuple(w) for w in letters.tolist()] == \
+                [w for w, _, _ in level]
+            M = np.array([g.matrix for _, g, _ in level])
+            X = np.array([[v.coords for v in c.base.vertices]
+                          for _, _, c in level])
+            assert np.max(np.abs(G - M)) < 1e-9
+            assert np.max(np.abs(V - X)) < 1e-9
+
+
+def test_orbit_deep_words_stay_lorentz():
+    # past the re-orthogonalization at 8 letters; for n = 2 the matrix
+    # entries reach about 3e3 at 9 letters
+    s = reference_regular(2, 1)
+    entries, pts = orbit(s, 9)
+    assert len(entries) == 1 + 3 * (2 ** 9 - 1)
+    J = minkowski_matrix(2)
+    for word, child in entries[-16:]:
+        M = word.resolved.matrix
+        assert np.max(np.abs(M.T @ J @ M - J)) < 1e-8
+        assert word.resolved.sign == -1
+        assert child.orientation == -1
+        assert is_regular(child.base.vertices, 1e-8)
 
 
 def test_density_probe_trivial_targets():

@@ -121,6 +121,28 @@ def test_reconstruct_planted():
     assert np.max(np.abs(res.h.matrix - np.eye(4))) < 1e-10
 
 
+def test_reconstruct_plain_callable_matches_boundary_map():
+    # a callable without a batch evaluator is mapped point by point
+    rng = np.random.default_rng(12)
+    ref = reference_regular(3, 1)
+    for eps in (1, -1):
+        g = random_isometry(rng, 3, 1.0, orientation=eps)
+        res = reconstruct_isometry(lambda xi: act_ideal(g, xi), ref, depth=3)
+        batch = reconstruct_isometry(planted(g), ref, depth=3)
+        assert np.array_equal(res.h.matrix, batch.h.matrix)
+        assert res.h.sign == batch.h.sign == eps
+        assert res.max_orbit_mismatch <= 1e-12
+        assert batch.max_orbit_mismatch <= 1e-12
+
+
+def test_negative_depth_and_zero_trials_raise():
+    phi = planted(identity_isometry(3))
+    with pytest.raises(ValueError):
+        reconstruct_isometry(phi, reference_regular(3, 1), depth=-1)
+    with pytest.raises(ValueError):
+        preserves_regular(phi, 3, trials=0)
+
+
 def test_reconstruct_rejects_non_isometric_maps():
     rng = np.random.default_rng(13)
     g = random_isometry(rng, 3, 1.0)
@@ -160,8 +182,9 @@ def test_reconstruct_orbit_mismatch_on_corrupted_table():
     assert corrupted
     phi = make_boundary_map("tabulated", points=points, images=images,
                             radius=1e-6)
-    with pytest.raises(OrbitMismatch):
+    with pytest.raises(OrbitMismatch) as exc:
         reconstruct_isometry(phi, ref, depth=2, tol=1e-8)
+    assert exc.value.mismatch > 1e-8
 
 
 def test_consensus_planted():

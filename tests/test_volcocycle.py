@@ -17,6 +17,7 @@ from hyprig.volcocycle import (
     is_regular,
     lobachevsky,
     orientation_sign,
+    orientation_signs,
     v_n,
     vol,
     vol2,
@@ -166,6 +167,33 @@ def test_orientation_sign_concyclic_zero():
            for a in angles]
     assert orientation_sign(pts) == 0
     assert abs(vol3(pts).value) < 1e-12
+
+
+def _det_sign(P):
+    # orientation by the scalar formula: sign of det of the lifts (xi, 1)
+    d = float(np.linalg.det(np.hstack([P, np.ones((len(P), 1))])))
+    return 0 if abs(d) < 1e-9 else (1 if d > 0 else -1)
+
+
+def test_orientation_signs_batch():
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4):
+        P = rng.standard_normal((200, n + 1, n))
+        P /= np.linalg.norm(P, axis=2, keepdims=True)
+        # flat ones: every vertex on the sphere's section by <u, xi> = c
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        W = rng.standard_normal((20, n + 1, n))
+        W -= (W @ u)[..., None] * u
+        W /= np.linalg.norm(W, axis=2, keepdims=True)
+        flat = 0.4 * u + math.sqrt(1.0 - 0.16) * W
+        signs = orientation_signs(np.concatenate([P, flat]))
+        assert signs.dtype.kind == "i"
+        assert list(signs) == [_det_sign(x) for x in np.concatenate([P, flat])]
+        assert set(signs[:200]) == {-1, 1}
+        assert not np.any(signs[200:])
+        assert [orientation_sign([IdealPoint(v) for v in x]) for x in P] \
+            == list(signs[:200])
 
 
 def test_voln_matches_vol3():
