@@ -29,7 +29,6 @@ from .hypcore import (
     act_ideal_many,
     convert,
     make_isometry,
-    translation_to,
 )
 
 MEASURE_TOL = 1e-12
@@ -73,44 +72,54 @@ def dominant_atom(mu: BoundaryMeasure):
     return None
 
 
+def _atom_arrays(mu: BoundaryMeasure):
+    """The atoms as a point array (k, n) and a weight array (k,)."""
+    return (np.array([p.coords for p, _ in mu.atoms]),
+            np.array([w for _, w in mu.atoms]))
+
+
 def _gamma_field(mu: BoundaryMeasure, x: np.ndarray) -> np.ndarray:
     """The conformal vector field V(x) = sum w_i gamma_x(xi_i) in ball
-    coordinates, gamma_x the canonical Moebius map taking x to the
-    origin."""
-    n = mu.n
-    hx = SpacePoint(convert(x, "poincare", "hyperboloid"))
-    ginv = translation_to(hx).inverse()
-    out = np.zeros(n)
-    for p, w in mu.atoms:
-        out += w * act_ideal(ginv, p).coords
-    return out
+    coordinates, gamma_x the canonical Moebius map taking x to the origin.
+
+    On the sphere gamma_x(xi) = (1 - |x|^2) D / |D|^2 - x with D = xi - x,
+    so V(x) = (1 - |x|^2) sum w_i D_i / q_i - x, q_i = |D_i|^2."""
+    X, w = _atom_arrays(mu)
+    D = X - x
+    s = (w / np.einsum("ij,ij->i", D, D)) @ D
+    return (1.0 - x @ x) * s - x
+
+
+def _gamma_jacobian(mu: BoundaryMeasure, x: np.ndarray) -> np.ndarray:
+    """The Jacobian of `_gamma_field` at x, with s = sum w_i D_i / q_i:
+    (1 - |x|^2)(2 sum w_i D_i D_i^T / q_i^2 - sum w_i / q_i I) - 2 s x^T - I."""
+    X, w = _atom_arrays(mu)
+    D = X - x
+    q = np.einsum("ij,ij->i", D, D)
+    eye = np.eye(len(x))
+    inner = 2.0 * (D.T * (w / q ** 2)) @ D - np.sum(w / q) * eye
+    return (1.0 - x @ x) * inner - 2.0 * np.outer((w / q) @ D, x) - eye
 
 
 def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10,
                          max_iter: int = 100) -> SpacePoint:
     """The unique zero of the conformal vector field of the measure.
 
-    Damped Newton on ball coordinates: the step is halved until the field
-    norm decreases and the iterate stays in the open ball.  Requires that
-    no atom carries mass 1/2 or more (the field has no zero otherwise).
+    Damped Newton on ball coordinates with the exact Jacobian: the step is
+    halved until the field norm decreases and the iterate stays in the
+    open ball.  Requires that no atom carries mass 1/2 or more (the field
+    has no zero otherwise).
     """
     if any(w >= 0.5 for _, w in mu.atoms):
         raise DominantAtom("an atom of mass >= 1/2 blocks the barycenter")
-    n = mu.n
     x = 0.5 * sum(w * p.coords for p, w in mu.atoms)
     v = _gamma_field(mu, x)
     res = np.linalg.norm(v)
-    h = 1e-7
     for _ in range(max_iter):
         if res <= tol:
             return SpacePoint(convert(x, "poincare", "hyperboloid"))
-        jac = np.empty((n, n))
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = h
-            jac[:, j] = (_gamma_field(mu, x + dx) - _gamma_field(mu, x - dx)) / (2 * h)
         try:
-            step = np.linalg.solve(jac, -v)
+            step = np.linalg.solve(_gamma_jacobian(mu, x), -v)
         except np.linalg.LinAlgError:
             step = -v
         for _ in range(40):

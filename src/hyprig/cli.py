@@ -5,7 +5,8 @@ straightening, barycenters, reflection orbits, preset inspection, the
 smearing estimator and the rigidity pipeline.  Outputs are JSON with the
 parsed configuration echoed; estimate sweeps can additionally be written
 as CSV.  Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage
-error.  Stochastic commands refuse to run without an explicit --seed.
+error, including an input file that cannot be read or parsed.
+Stochastic commands refuse to run without an explicit --seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .boundary import (
     map_from_json,
     measure_from_json,
 )
-from .errors import HyprigError
+from .errors import DimensionMismatch, HyprigError
 from .hypcore import IdealPoint, SpacePoint, identity_isometry, make_isometry
 from .lattice import covolume, load_preset, preset_names
 from .regref import density_probe, orbit, reference_regular
@@ -32,9 +33,30 @@ from .smear import milnor_wood_check, vol_of_rep, volume_ratio
 from .volcocycle import v_n, vol, vol_defect
 
 
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
+class _UnreadableInput(Exception):
+    """An input file flag whose file cannot be read or parsed."""
+
+
+def _load(args, flag, parse):
+    """parse applied to the JSON in the file named by the flag; a file
+    that cannot be opened or parsed raises _UnreadableInput naming the
+    flag."""
+    path = getattr(args, flag)
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _UnreadableInput(f"--{flag} {path}: {type(exc).__name__}: "
+                               f"{exc}".replace("\n", " ")) from exc
+
+
+def _ideal_points(rows, n, count):
+    """count boundary points of S^{n-1} from a list of coordinate rows."""
+    P = np.asarray(rows, dtype=float)
+    if P.shape != (count, n):
+        raise DimensionMismatch(f"--n {n} needs {count} points of S^{n - 1}, "
+                                f"got coordinates of shape {P.shape}")
+    return [IdealPoint(p) for p in P]
 
 
 def _emit(payload, args):
@@ -47,18 +69,15 @@ def _emit(payload, args):
             f.write(text + "\n")
 
 
-def _simplex_from_file(path):
-    return [IdealPoint(np.asarray(v, dtype=float)) for v in _load_json(path)]
-
-
-def _map_from_arg(spec, n):
-    if spec == "planted-identity":
+def _map_from_arg(args, n):
+    if args.map == "planted-identity":
         return make_boundary_map("planted_isometry", g=identity_isometry(n))
-    return map_from_json(_load_json(spec))
+    return _load(args, "map", map_from_json)
 
 
 def cmd_vol(args):
-    pts = _simplex_from_file(args.simplex)
+    pts = _load(args, "simplex",
+                lambda rows: _ideal_points(rows, args.n, args.n + 1))
     r = vol(pts, tol=args.tol)
     _emit({"value": r.value, "abs_error": r.abs_error, "method": r.method}, args)
     return 0
@@ -71,8 +90,8 @@ def cmd_vn(args):
 
 def cmd_cocycle_check(args):
     if args.points:
-        tuples = [[IdealPoint(np.asarray(v, dtype=float))
-                   for v in _load_json(args.points)]]
+        tuples = [_load(args, "points",
+                        lambda rows: _ideal_points(rows, args.n, args.n + 2))]
     else:
         rng = np.random.default_rng(args.seed)
         tuples = []
@@ -88,19 +107,24 @@ def cmd_cocycle_check(args):
 def cmd_straighten(args):
     from .hypcore import straighten
 
-    data = _load_json(args.input)
     n = args.n
-    verts = []
-    for v in data["vertices"]:
+
+    def vertex(v):
         v = np.asarray(v, dtype=float)
-        verts.append(SpacePoint(v) if len(v) == n + 1 else IdealPoint(v))
-    out = straighten(verts, np.asarray(data["t"], dtype=float))
+        if len(v) not in (n, n + 1):
+            raise DimensionMismatch(f"vertex of length {len(v)} for --n {n}")
+        return SpacePoint(v) if len(v) == n + 1 else IdealPoint(v)
+
+    verts, t = _load(args, "input", lambda data: (
+        [vertex(v) for v in data["vertices"]],
+        np.asarray(data["t"], dtype=float)))
+    out = straighten(verts, t)
     _emit({"point": out.coords.tolist()}, args)
     return 0
 
 
 def cmd_barycenter(args):
-    mu = measure_from_json(_load_json(args.measure))
+    mu = _load(args, "measure", measure_from_json)
     b = conformal_barycenter(mu, tol=args.tol)
     _emit({"point": b.coords.tolist()}, args)
     return 0
@@ -122,7 +146,11 @@ def cmd_orbit(args):
 
 def cmd_density_probe(args):
     if args.target:
-        target = make_isometry(np.asarray(_load_json(args.target), dtype=float))
+        target = _load(args, "target", lambda rows: make_isometry(
+            np.asarray(rows, dtype=float)))
+        if target.n != args.n:
+            raise DimensionMismatch(
+                f"--target is an isometry of H^{target.n}, --n is {args.n}")
     else:
         from .hypcore import random_isometry
 
@@ -154,7 +182,7 @@ def cmd_preset(args):
 
 def _run_ratio(args):
     p = load_preset(args.preset)
-    phi = _map_from_arg(args.map, p.n)
+    phi = _map_from_arg(args, p.n)
     return p, phi, volume_ratio(p, phi, args.samples // args.simplices,
                                 args.seed, m=args.simplices,
                                 T=args.truncation)
@@ -191,7 +219,7 @@ def cmd_smear(args):
 
 def cmd_vol_of_rep(args):
     p = load_preset(args.preset)
-    phi = _map_from_arg(args.map, p.n)
+    phi = _map_from_arg(args, p.n)
     est = vol_of_rep(p, phi, args.samples // args.simplices, args.seed,
                      m=args.simplices, T=args.truncation)
     _emit({"vol_of_rep": est.value, "std_error": est.std_error,
@@ -201,7 +229,7 @@ def cmd_vol_of_rep(args):
 
 
 def cmd_preserves_regular(args):
-    phi = _map_from_arg(args.map, args.n)
+    phi = _map_from_arg(args, args.n)
     rep = preserves_regular(phi, args.n, trials=args.trials, tol=args.tol,
                             seed=args.seed)
     _emit({"trials": rep.trials, "pass_fraction": rep.pass_fraction,
@@ -210,7 +238,7 @@ def cmd_preserves_regular(args):
 
 
 def cmd_reconstruct(args):
-    phi = _map_from_arg(args.map, args.n)
+    phi = _map_from_arg(args, args.n)
     h = consensus(phi, args.n, m=args.seeds, depth=args.depth, seed=args.seed)
     _emit({"matrix": h.matrix.tolist(), "sign": h.sign}, args)
     return 0
@@ -218,9 +246,10 @@ def cmd_reconstruct(args):
 
 def cmd_verify_conjugacy(args):
     p = load_preset(args.preset)
-    h = make_isometry(np.asarray(_load_json(args.h)["matrix"], dtype=float))
-    rho = [make_isometry(np.asarray(m, dtype=float))
-           for m in _load_json(args.rho)]
+    h = _load(args, "h", lambda obj: make_isometry(
+        np.asarray(obj["matrix"], dtype=float)))
+    rho = _load(args, "rho", lambda rows: [
+        make_isometry(np.asarray(m, dtype=float)) for m in rows])
     _emit({"residual": verify_conjugacy(h, p, rho)}, args)
     return 0
 
@@ -250,7 +279,7 @@ def build_parser():
     p.add_argument("--random", type=int, default=0)
     p.add_argument("--seed", type=int)
     common(p)
-    p.set_defaults(func=cmd_cocycle_check, stochastic_if="random")
+    p.set_defaults(func=cmd_cocycle_check)
 
     p = sub.add_parser("straighten", help="evaluate a straightened simplex")
     p.add_argument("--n", type=int, required=True)
@@ -278,7 +307,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--max-size", type=int, default=200_000)
     common(p)
-    p.set_defaults(func=cmd_density_probe, stochastic_if="no_target")
+    p.set_defaults(func=cmd_density_probe)
 
     p = sub.add_parser("preset", help="list or verify lattice presets")
     p.add_argument("action", choices=("list", "verify"))
@@ -330,11 +359,12 @@ def run(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     # stochastic variants of otherwise deterministic commands
-    gate = getattr(args, "stochastic_if", None)
-    if gate == "random" and args.points is None:
-        if args.seed is None or args.random <= 0:
-            ap.exit(2, "cocycle-check without --points needs --random and --seed\n")
-    if gate == "no_target" and args.target is None and args.seed is None:
+    if args.command == "cocycle-check" and args.points is None and (
+            args.seed is None or args.random <= 0):
+        ap.exit(2, "cocycle-check without --points needs --random and "
+                   "--seed\n")
+    if args.command == "density-probe" and args.target is None \
+            and args.seed is None:
         ap.exit(2, "density-probe without --target needs --seed\n")
     if args.command == "preset" and args.action == "verify" and not args.name:
         ap.exit(2, "preset verify needs a name\n")
@@ -354,6 +384,8 @@ def run(argv) -> int:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
+    except _UnreadableInput as exc:
+        ap.exit(2, f"{exc}\n")
 
 
 def main():

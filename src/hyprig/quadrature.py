@@ -12,6 +12,7 @@ max-heap on the two-rule error estimate.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -28,6 +29,7 @@ def _gauss01(p):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@functools.cache
 def _cube_rule(d, p):
     """Tensor Gauss-Legendre nodes/weights on the open unit cube."""
     x1, w1 = _gauss01(p)
@@ -36,15 +38,6 @@ def _cube_rule(d, p):
     pts = np.stack([g.ravel() for g in xg], axis=1)
     wts = np.prod(np.stack([g.ravel() for g in wg], axis=1), axis=1)
     return pts, wts
-
-
-_RULE_CACHE: dict = {}
-
-
-def _rules(d):
-    if d not in _RULE_CACHE:
-        _RULE_CACHE[d] = (_cube_rule(d, _LOW_ORDER), _cube_rule(d, _HIGH_ORDER))
-    return _RULE_CACHE[d]
 
 
 def _duffy(U, sqrt_first):
@@ -75,21 +68,18 @@ def _duffy(U, sqrt_first):
     return lam, w
 
 
-_DUFFY_CACHE: dict = {}
-
-
+@functools.cache
 def _duffy_rules(d, sqrt_first):
     """Both quadrature rules pushed through the Duffy map, cached:
     (lam_lo, w_lo, lam_hi, w_hi) with the Gauss weights folded in."""
-    key = (d, sqrt_first)
-    if key not in _DUFFY_CACHE:
-        (plo, wlo), (phi, whi) = _rules(d)
-        llo, dlo = _duffy(plo, sqrt_first)
-        lhi, dhi = _duffy(phi, sqrt_first)
-        _DUFFY_CACHE[key] = (llo, wlo * dlo, lhi, whi * dhi)
-    return _DUFFY_CACHE[key]
+    plo, wlo = _cube_rule(d, _LOW_ORDER)
+    phi, whi = _cube_rule(d, _HIGH_ORDER)
+    llo, dlo = _duffy(plo, sqrt_first)
+    lhi, dhi = _duffy(phi, sqrt_first)
+    return llo, wlo * dlo, lhi, whi * dhi
 
 
+@functools.cache
 def _child_table(d):
     """Red refinement as barycentric rows: T[k] @ V gives the vertices of
     child k of the simplex with vertex rows V.  Child j <= d is the corner
@@ -113,32 +103,17 @@ def _child_table(d):
     return np.array(kids)
 
 
-_CHILD_CACHE: dict = {}
-
-
-def _children(d):
-    if d not in _CHILD_CACHE:
-        _CHILD_CACHE[d] = _child_table(d)
-    return _CHILD_CACHE[d]
-
-
-_STEP_CACHE: dict = {}
-
-
+@functools.cache
 def _step_rules(d, singular):
     """Nodes and weights for one refinement step, whose children carry the
     singular flags ``singular``: barycentric nodes of shape (K, d+1, P),
     each child's 9^d high-order nodes followed by its 5^d low-order ones,
     and the (K, 9^d) and (K, 5^d) weights."""
-    key = (d, singular)
-    if key not in _STEP_CACHE:
-        rules = [_duffy_rules(d, s) for s in singular]
-        lam = np.stack([np.concatenate([lhi, llo]).T
-                        for llo, _, lhi, _ in rules])
-        whi = np.stack([r[3] for r in rules])
-        wlo = np.stack([r[1] for r in rules])
-        _STEP_CACHE[key] = (lam, whi, wlo)
-    return _STEP_CACHE[key]
+    rules = [_duffy_rules(d, s) for s in singular]
+    lam = np.stack([np.concatenate([lhi, llo]).T for llo, _, lhi, _ in rules])
+    whi = np.stack([r[3] for r in rules])
+    wlo = np.stack([r[1] for r in rules])
+    return lam, whi, wlo
 
 
 def integrate_simplex(f, vertices, singular_mask, tol, max_evals=2_000_000):
@@ -154,7 +129,7 @@ def integrate_simplex(f, vertices, singular_mask, tol, max_evals=2_000_000):
     """
     V = np.asarray(vertices, dtype=float)
     d = V.shape[1]
-    table = _children(d)
+    table = _child_table(d)
     K = len(table)
     n_hi = _HIGH_ORDER ** d
     step_evals = K * (_LOW_ORDER ** d + n_hi)

@@ -12,6 +12,7 @@ conjugation of lattice generators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .lattice import LatticePreset
 from .regref import (RegularSimplex, face_reflections, reference_regular,
                      reflection_walk)
 from .volcocycle import (IdealSimplex, is_regular, orientation_sign,
-                         orientation_signs)
+                         orientation_signs, regular_mask)
 
 REGULARITY_TOL = 1e-9
 IMAGE_TOL = 1e-6
@@ -64,32 +65,23 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     Each trial takes g random in a compact window, applies phi to the
     vertices of g times the reference simplex, and checks regularity of
     the image at tol; among passing trials the image orientation is
-    compared with the source orientation.
+    compared with the source orientation.  The isometries are drawn in
+    trial order; all trials are then mapped and tested as one batch.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    ref = reference_regular(n, 1)
-    passes = 0
-    modes = set()
-    for _ in range(trials):
-        g = random_isometry(rng, n, max_translation=window)
-        src = [act_ideal(g, v) for v in ref.base.vertices]
-        img = [phi(v) for v in src]
-        try:
-            ok = is_regular(img, tol)
-        except DegenerateSimplex:
-            ok = False
-        if not ok:
-            continue
-        passes += 1
-        modes.add("same" if orientation_sign(img) == orientation_sign(src)
-                  else "opposite")
-    if len(modes) == 1:
-        mode = modes.pop()
-    else:
-        mode = "mixed" if modes else "same"
-    return PreservationReport(trials=trials, pass_fraction=passes / trials,
+    ref = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
+    G = np.array([random_isometry(rng, n, max_translation=window).matrix
+                  for _ in range(trials)])
+    src = act_ideal_many(G, ref)
+    img = evaluate_many(phi, src.reshape(-1, n)).reshape(src.shape)
+    ok = regular_mask(img, tol)
+    same = orientation_signs(img[ok]) == orientation_signs(src[ok])
+    modes = {"same" if s else "opposite" for s in same}
+    mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "same"
+    return PreservationReport(trials=trials,
+                              pass_fraction=int(ok.sum()) / trials,
                               orientation_mode=mode, tol=tol)
 
 
@@ -115,14 +107,10 @@ def isometry_from_simplex_pair(source: RegularSimplex,
 
     # lam_i lam_j = GS_ij / GT_ij on off-diagonal entries (both Grams are
     # strictly negative there); solve for log lam in least squares
-    rows, rhs = [], []
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros(m)
-            e[i] = e[j] = 1.0
-            rows.append(e)
-            rhs.append(np.log(GS[i, j] / GT[i, j]))
-    lam = np.exp(np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0])
+    i, j = np.array(list(itertools.combinations(range(m), 2))).T
+    rows = np.eye(m)[i] + np.eye(m)[j]
+    rhs = np.log(GS[i, j] / GT[i, j])
+    lam = np.exp(np.linalg.lstsq(rows, rhs, rcond=None)[0])
     Tn = lam[:, None] * T
 
     M = np.linalg.solve(S, Tn).T
@@ -130,10 +118,8 @@ def isometry_from_simplex_pair(source: RegularSimplex,
         g = make_isometry(M)
     except (NotLorentz, TimeReversing) as exc:
         raise NoExactSolve(f"simplices are not congruent: {exc}") from exc
-    worst = 0.0
-    for sv, tv in zip(source.base.vertices, target.base.vertices):
-        worst = max(worst, float(np.max(np.abs(act_ideal(g, sv).coords
-                                               - tv.coords))))
+    worst = float(np.max(np.abs(act_ideal_many(g.matrix, S[:, :-1])
+                                - T[:, :-1])))
     if worst > SOLVE_RESIDUAL_TOL:
         raise NoExactSolve(f"vertex residual {worst:.3e} after projection")
     return g

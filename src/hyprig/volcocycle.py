@@ -10,6 +10,7 @@ regular simplex with positive orientation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,9 +99,17 @@ _VN_CACHE = {2: V2, 3: V3}
 
 # -- orientation and degeneracy --------------------------------------------
 
+@functools.cache
+def _index_sets(m):
+    """Index arrays (k, C(m, k)) of the vertex pairs and the vertex
+    quadruples of an m-vertex simplex, in lexicographic order."""
+    return tuple(np.array(list(itertools.combinations(range(m), k)),
+                          dtype=int).reshape(-1, k).T for k in (2, 4))
+
+
 def _coincident_rows(P):
     """Per simplex of a batch P (N, k, n): whether two vertices coincide."""
-    i, j = np.array(list(itertools.combinations(range(P.shape[1]), 2))).T
+    i, j = _index_sets(P.shape[1])[0]
     diff = P[:, i] - P[:, j]
     gaps2 = np.einsum("...i,...i->...", diff, diff)
     return np.any(gaps2 < COINCIDENCE_TOL ** 2, axis=1)
@@ -324,39 +333,35 @@ def v_n(n: int, tol: float = 1e-7) -> float:
 
 # -- regularity -------------------------------------------------------------
 
-def is_regular(simplex, tol: float = 1e-9) -> bool:
-    """Whether some isometry carries the simplex onto the reference
-    regular one.
+def regular_mask(P, tol: float = 1e-9) -> np.ndarray:
+    """Per simplex of a batch P (N, m, n): whether some isometry carries it
+    onto the reference regular one.  Simplices with a vertex gap below
+    max(tol, COINCIDENCE_TOL) are not regular.
 
     Tested through the full set of absolute cross-ratios of chordal
     distances, (d_ij d_kl)/(d_ik d_jl) over vertex quadruples, which are
     a complete system of Moebius invariants; for the regular simplex all
     of them equal 1."""
-    points = _vertex_list(simplex)
-    m = len(points)
-    D = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            D[i, j] = D[j, i] = np.linalg.norm(points[i].coords - points[j].coords)
-    off = D[np.triu_indices(m, 1)]
-    if np.min(off) < max(tol, COINCIDENCE_TOL):
-        raise DegenerateSimplex(f"vertex gap {np.min(off):.3e} below tolerance")
-    if m < 4:
+    P = np.asarray(P, dtype=float)
+    (a, b), (i, j, k, l) = _index_sets(P.shape[1])
+    D = np.linalg.norm(P[:, :, None] - P[:, None], axis=-1)
+    ok = np.min(D[:, a, b], axis=1) >= max(tol, COINCIDENCE_TOL)
+    D = D[ok]
+    # d_ij d_kl, d_ik d_jl and d_il d_jk per quadruple
+    prod = D[:, [i, i, i], [j, k, l]] * D[:, [k, j, j], [l, l, k]]
+    ratios = prod[:, [0, 1, 0]] / prod[:, [1, 2, 2]]
+    ok[ok] = np.all(np.abs(ratios - 1.0) <= tol, axis=(1, 2))
+    return ok
+
+
+def is_regular(simplex, tol: float = 1e-9) -> bool:
+    """`regular_mask` on one simplex; raises DegenerateSimplex when two
+    vertices come closer than max(tol, COINCIDENCE_TOL)."""
+    P = np.array([p.coords for p in _vertex_list(simplex)])
+    if regular_mask(P[None], tol)[0]:
         return True
-    for quad in _quadruples(m):
-        i, j, k, l = quad
-        for (a, b), (c, e), (f, g), (h, p) in (((i, j), (k, l), (i, k), (j, l)),
-                                               ((i, k), (j, l), (i, l), (j, k)),
-                                               ((i, j), (k, l), (i, l), (j, k))):
-            ratio = (D[a, b] * D[c, e]) / (D[f, g] * D[h, p])
-            if abs(ratio - 1.0) > tol:
-                return False
-    return True
-
-
-def _quadruples(m):
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                for l in range(k + 1, m):
-                    yield i, j, k, l
+    a, b = _index_sets(len(P))[0]
+    gap = np.min(np.linalg.norm(P[a] - P[b], axis=-1))
+    if gap < max(tol, COINCIDENCE_TOL):
+        raise DegenerateSimplex(f"vertex gap {gap:.3e} below tolerance")
+    return False

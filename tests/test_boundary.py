@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyprig.boundary import (
     BoundaryMeasure,
@@ -209,3 +211,64 @@ def test_json_round_trips():
         phi2 = map_from_json(map_to_json(phi))
         assert np.max(np.abs(phi2.evaluate(xi).coords
                              - phi.evaluate(xi).coords)) < 1e-12
+
+
+def _gamma_field_by_isometry(mu, x):
+    """The conformal field as its definition reads: the translation
+    taking x to the origin, applied to each atom."""
+    from hyprig.hypcore import SpacePoint, convert, translation_to
+    ginv = translation_to(SpacePoint(convert(x, "poincare",
+                                             "hyperboloid"))).inverse()
+    return sum(w * act_ideal(ginv, p).coords for p, w in mu.atoms)
+
+
+def _random_ball_point(rng, n, radius):
+    v = rng.standard_normal(n)
+    return radius * rng.uniform() ** (1.0 / n) * v / np.linalg.norm(v)
+
+
+def test_gamma_field_closed_form_matches_isometry_action():
+    from hyprig.boundary import _gamma_field
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 4):
+        for _ in range(100):
+            k = int(rng.integers(1, 7))
+            pts = [random_ideal(rng, n) for _ in range(k)]
+            mu = BoundaryMeasure(tuple(zip(pts, rng.dirichlet(np.ones(k)))))
+            x = _random_ball_point(rng, n, 0.95)
+            gap = _gamma_field(mu, x) - _gamma_field_by_isometry(mu, x)
+            assert np.max(np.abs(gap)) < 1e-13
+
+
+def test_gamma_jacobian_matches_central_differences():
+    from hyprig.boundary import _gamma_field, _gamma_jacobian
+    rng = np.random.default_rng(29)
+    h = 1e-6
+    for n in (2, 3, 4):
+        for _ in range(30):
+            pts = [random_ideal(rng, n) for _ in range(5)]
+            mu = BoundaryMeasure(tuple(zip(pts, rng.dirichlet(np.ones(5)))))
+            x = _random_ball_point(rng, n, 0.8)
+            fd = np.column_stack([
+                (_gamma_field(mu, x + h * e) - _gamma_field(mu, x - h * e))
+                / (2 * h) for e in np.eye(n)])
+            jac = _gamma_jacobian(mu, x)
+            assert np.max(np.abs(jac - fd)) < 1e-6 * max(1.0, np.abs(jac).max())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), k=st.integers(3, 6),
+       seed=st.integers(0, 2**32 - 1),
+       translation=st.floats(0.0, 1.5))
+def test_barycenter_equivariance_property(n, k, seed, translation):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.full(k, 2.0))
+    assume(np.max(w) < 0.45)
+    pts = [random_ideal(rng, n) for _ in range(k)]
+    mu = BoundaryMeasure(tuple(zip(pts, w)))
+    g = random_isometry(rng, n, max_translation=translation)
+    direct = conformal_barycenter(push_forward(g, mu), tol=1e-11)
+    moved = act_point(g, conformal_barycenter(mu, tol=1e-11))
+    # relative: a barycenter far out has hyperboloid coordinates of 1e3
+    scale = max(1.0, np.max(np.abs(moved.coords)))
+    assert np.max(np.abs(direct.coords - moved.coords)) < 1e-8 * scale

@@ -268,3 +268,85 @@ def test_rigidity_pipeline_via_cli(tmp_path, capsys):
                                   "--h", str(h_path), "--rho", str(rho_path)])
     assert code == 0
     assert out["residual"] < 1e-7
+
+
+def _unit_rows(rng, count, n):
+    P = rng.standard_normal((count, n))
+    return (P / np.linalg.norm(P, axis=1, keepdims=True)).tolist()
+
+
+@pytest.mark.parametrize("command,flag,count,n,flag_n", [
+    ("vol", "--simplex", 4, 3, 2),          # a tetrahedron read as H^2
+    ("vol", "--simplex", 4, 2, 2),          # four points of S^1
+    ("cocycle-check", "--points", 5, 3, 2),
+    ("cocycle-check", "--points", 4, 3, 3),
+])
+def test_points_disagreeing_with_n_exit_1(tmp_path, capsys, command, flag,
+                                          count, n, flag_n):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps(_unit_rows(np.random.default_rng(0), count, n)))
+    code = run([command, "--n", str(flag_n), flag, str(f)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "DimensionMismatch"
+
+
+def test_straighten_vertex_of_wrong_length_exits_1(tmp_path, capsys):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"vertices": _unit_rows(
+        np.random.default_rng(1), 3, 4), "t": [1 / 3, 1 / 3, 1 / 3]}))
+    code = run(["straighten", "--n", "2", "--input", str(f)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("flag,content,argv", [
+    ("--measure", [{"point": [1.0, 0.0]}], ["barycenter"]),
+    ("--map", {"kind": "foo"},
+     ["preserves-regular", "--n", "3", "--seed", "1"]),
+    ("--map", {"kind": "planted_isometry"},
+     ["reconstruct", "--n", "3", "--seed", "1"]),
+    ("--simplex", "{not json", ["vol", "--n", "3"]),
+    ("--simplex", None, ["vol", "--n", "3"]),
+    ("--points", [[1.0, 0.0], [0.0]], ["cocycle-check", "--n", "2"]),
+    ("--input", {"vertices": []}, ["straighten", "--n", "2"]),
+    ("--input", [[1.0, 0.0]], ["straighten", "--n", "2"]),
+    ("--measure", {"point": [1.0, 0.0]}, ["barycenter"]),
+    ("--target", [["a"]], ["density-probe", "--n", "3", "--depth", "1"]),
+    ("--h", {"matrix": "x"}, ["verify-conjugacy", "--preset",
+                              "figure_eight_3d", "--rho", "unread.json"]),
+])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, flag, content, argv):
+    path = tmp_path / "input.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_text(json.dumps(content))
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{flag} {path}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_config_echo_holds_only_parsed_flags(capsys):
+    for argv in (["cocycle-check", "--n", "2", "--random", "2", "--seed", "1"],
+                 ["density-probe", "--n", "2", "--depth", "1", "--seed", "1"]):
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert "stochastic_if" not in out["config"]
+        assert out["config"]["n"] == 2
+
+
+def test_density_probe_target_of_wrong_dimension_exits_1(tmp_path, capsys):
+    f = tmp_path / "target.json"
+    f.write_text(json.dumps(np.eye(3).tolist()))
+    code = run(["density-probe", "--n", "3", "--depth", "1",
+                "--target", str(f)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"

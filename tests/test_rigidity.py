@@ -3,6 +3,7 @@ import pytest
 
 from hyprig.boundary import BoundaryMap, make_boundary_map
 from hyprig.errors import (
+    DegenerateSimplex,
     GeneratorCountMismatch,
     ImageNotRegular,
     NoConsensus,
@@ -24,7 +25,7 @@ from hyprig.rigidity import (
     reconstruct_isometry,
     verify_conjugacy,
 )
-from hyprig.volcocycle import IdealSimplex, orientation_sign
+from hyprig.volcocycle import IdealSimplex, is_regular, orientation_sign
 
 
 def planted(g):
@@ -52,6 +53,51 @@ def test_preserves_regular_perturbed_fails():
     phi = make_boundary_map("perturbed", g=g, amplitude=1e-2, seed=5)
     rep = preserves_regular(phi, 3, trials=25, tol=1e-6, seed=4)
     assert rep.pass_fraction < 1.0
+
+
+def _preserves_regular_by_loop(phi, n, trials, tol=1e-6, seed=0):
+    """preserves_regular one trial at a time: (pass_fraction, mode)."""
+    rng = np.random.default_rng(seed)
+    ref = reference_regular(n, 1)
+    passes, modes = 0, set()
+    for _ in range(trials):
+        g = random_isometry(rng, n, max_translation=1.0)
+        src = [act_ideal(g, v) for v in ref.base.vertices]
+        img = [phi(v) for v in src]
+        try:
+            if not is_regular(img, tol):
+                continue
+        except DegenerateSimplex:
+            continue
+        passes += 1
+        modes.add("same" if orientation_sign(img) == orientation_sign(src)
+                  else "opposite")
+    mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "same"
+    return passes / trials, mode
+
+
+def _doubling(xi):
+    """The angle-doubling map of the circle: not injective, so images of
+    regular triangles coincide or change orientation from trial to trial."""
+    a = 2.0 * np.arctan2(xi.coords[1], xi.coords[0])
+    return IdealPoint(np.array([np.cos(a), np.sin(a)]))
+
+
+def test_preserves_regular_matches_per_trial_loop():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4):
+        g = random_isometry(rng, n, 1.0)
+        maps = [planted(g), lambda xi, g=g: act_ideal(g, xi),
+                make_boundary_map("perturbed", g=g, amplitude=0.3, seed=1),
+                make_boundary_map("perturbed", g=g, amplitude=3e-6, seed=1),
+                make_boundary_map("constant", point=IdealPoint(np.eye(n)[0]))]
+        if n == 2:
+            maps.append(_doubling)
+        for seed, phi in enumerate(maps):
+            rep = preserves_regular(phi, n, trials=30, seed=seed)
+            expect = _preserves_regular_by_loop(phi, n, 30, seed=seed)
+            assert (rep.pass_fraction, rep.orientation_mode) == expect
+            assert (rep.trials, rep.tol) == (30, 1e-6)
 
 
 def test_pair_solver_identity_and_random():

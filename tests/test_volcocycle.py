@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -18,6 +19,7 @@ from hyprig.volcocycle import (
     lobachevsky,
     orientation_sign,
     orientation_signs,
+    regular_mask,
     v_n,
     vol,
     vol2,
@@ -263,6 +265,57 @@ def test_is_regular():
     assert not is_regular(pts, 1e-6)
     with pytest.raises(DegenerateSimplex):
         is_regular([pts[0], pts[0], pts[1], pts[2]], 1e-6)
+
+
+def _regular_by_loop(P, tol):
+    """The quadruple loop regularity test, one simplex (m, n) at a time:
+    None for a vertex gap below max(tol, 1e-12), else the verdict."""
+    m = len(P)
+    D = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            D[i, j] = D[j, i] = np.linalg.norm(P[i] - P[j])
+    if np.min(D[np.triu_indices(m, 1)]) < max(tol, 1e-12):
+        return None
+    for i, j, k, l in itertools.combinations(range(m), 4):
+        for (a, b), (c, e), (f, g), (h, p) in (((i, j), (k, l), (i, k), (j, l)),
+                                               ((i, k), (j, l), (i, l), (j, k)),
+                                               ((i, j), (k, l), (i, l), (j, k))):
+            if abs((D[a, b] * D[c, e]) / (D[f, g] * D[h, p]) - 1.0) > tol:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 4), (4, 4), (4, 5)])
+def test_regular_mask_matches_quadruple_loop(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    ref = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
+    batch = []
+    for t in range(120):
+        g = random_isometry(rng, n, max_translation=1.5)
+        P = np.array([act_ideal(g, IdealPoint(v)).coords for v in ref])[:m]
+        if t % 4 == 1:
+            P = P + 1e-2 * rng.standard_normal(P.shape)
+        elif t % 4 == 2:
+            P = P + 10 ** rng.uniform(-9, -5) * rng.standard_normal(P.shape)
+        elif t % 4 == 3:
+            # coincident, closer than COINCIDENCE_TOL, or closer than tol
+            gap = (0.0, 1e-13, 1e-7)[t // 4 % 3]
+            P[-1] = P[0] + gap * rng.standard_normal(n)
+        batch.append(P / np.linalg.norm(P, axis=1, keepdims=True))
+    batch = np.array(batch)
+    for tol in (1e-8, 1e-6):
+        mask = regular_mask(batch, tol)
+        expect = [_regular_by_loop(P, tol) for P in batch]
+        assert mask.tolist() == [bool(e) for e in expect]
+        for P, e in zip(batch, expect):
+            pts = [IdealPoint(p) for p in P]
+            if e is None:
+                with pytest.raises(DegenerateSimplex):
+                    is_regular(pts, tol)
+            else:
+                assert is_regular(pts, tol) is e
+        assert {True, False} <= set(mask.tolist())
 
 
 def test_vol_dispatch():
