@@ -32,6 +32,7 @@ from .hypcore import (
 )
 
 MEASURE_TOL = 1e-12
+BARYCENTER_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def _gamma_jacobian(mu: BoundaryMeasure, x: np.ndarray) -> np.ndarray:
     return (1.0 - x @ x) * inner - 2.0 * np.outer((w / q) @ D, x) - eye
 
 
-def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10,
-                         max_iter: int = 100) -> SpacePoint:
+def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10) -> SpacePoint:
     """The unique zero of the conformal vector field of the measure.
 
     Damped Newton on ball coordinates with the exact Jacobian: the step is
@@ -115,7 +115,7 @@ def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10,
     x = 0.5 * sum(w * p.coords for p, w in mu.atoms)
     v = _gamma_field(mu, x)
     res = np.linalg.norm(v)
-    for _ in range(max_iter):
+    for _ in range(BARYCENTER_MAX_ITER):
         if res <= tol:
             return SpacePoint(convert(x, "poincare", "hyperboloid"))
         try:
@@ -175,6 +175,11 @@ def evaluate_many(phi, X) -> np.ndarray:
 _TABLE_BLOCK = 1 << 20
 
 
+def _pointwise(batch):
+    """The one-point evaluate of a map given by its batch evaluator."""
+    return lambda xi: IdealPoint(batch(xi.coords[None])[0])
+
+
 def make_boundary_map(kind: str, **params) -> BoundaryMap:
     """Build an evaluatable boundary map.
 
@@ -200,13 +205,6 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
         c = rng.standard_normal(n)
         bound = np.linalg.norm(A, 2) + np.linalg.norm(c)
 
-        def ev(xi):
-            eta = act_ideal(g, xi).coords
-            raw = (A @ xi.coords + c) / bound
-            tang = raw - np.dot(raw, eta) * eta
-            out = eta + amplitude * tang
-            return IdealPoint(out / np.linalg.norm(out))
-
         def ev_many(X):
             eta = act_ideal_many(g.matrix, X)
             raw = (X @ A.T + c) / bound
@@ -214,26 +212,15 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
             out = eta + amplitude * tang
             return out / np.linalg.norm(out, axis=1, keepdims=True)
 
-        return BoundaryMap(kind, dict(params), ev, ev_many)
+        return BoundaryMap(kind, dict(params), _pointwise(ev_many), ev_many)
 
     if kind == "tabulated":
         pts = np.array([p.coords for p in params["points"]])
-        images = list(params["images"])
-        image_coords = np.array([q.coords for q in images])
+        images = np.array([q.coords for q in params["images"]])
         radius = float(params["radius"])
-
-        def ev(xi):
-            d = np.linalg.norm(pts - xi.coords, axis=1)
-            i = int(np.argmin(d))
-            if d[i] > radius:
-                raise OutOfTable(f"nearest table point at {d[i]:.3e} > {radius}")
-            return images[i]
-
         step = max(1, _TABLE_BLOCK // pts.size)
 
         def ev_many(X):
-            # the distances ev computes, a block of queries at a time, so
-            # that near-coincident table points rank as they do there
             idx = np.empty(len(X), dtype=int)
             d = np.empty(len(X))
             for k in range(0, len(X), step):
@@ -244,9 +231,9 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
             if np.any(d > radius):
                 raise OutOfTable(
                     f"nearest table point at {d.max():.3e} > {radius}")
-            return image_coords[idx]
+            return images[idx]
 
-        return BoundaryMap(kind, dict(params), ev, ev_many)
+        return BoundaryMap(kind, dict(params), _pointwise(ev_many), ev_many)
 
     if kind == "constant":
         p = params["point"]

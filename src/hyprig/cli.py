@@ -5,7 +5,8 @@ straightening, barycenters, reflection orbits, preset inspection, the
 smearing estimator and the rigidity pipeline.  Outputs are JSON with the
 parsed configuration echoed; estimate sweeps can additionally be written
 as CSV.  Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage
-error, including an input file that cannot be read or parsed.
+error, including an input file that cannot be read or parsed and an
+output file that cannot be written (checked before any work).
 Stochastic commands refuse to run without an explicit --seed.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -26,28 +28,45 @@ from .boundary import (
 )
 from .errors import DimensionMismatch, HyprigError
 from .hypcore import IdealPoint, SpacePoint, identity_isometry, make_isometry
-from .lattice import covolume, load_preset, preset_names
+from .lattice import load_preset, preset_names
 from .regref import density_probe, orbit, reference_regular
 from .rigidity import consensus, preserves_regular, verify_conjugacy
 from .smear import milnor_wood_check, vol_of_rep, volume_ratio
 from .volcocycle import v_n, vol, vol_defect
 
 
-class _UnreadableInput(Exception):
-    """An input file flag whose file cannot be read or parsed."""
+class _BadFile(Exception):
+    """A file flag whose input cannot be read or parsed, or whose output
+    cannot be written."""
+
+    def __init__(self, flag, path, exc):
+        super().__init__(f"--{flag} {path}: {type(exc).__name__}: "
+                         f"{exc}".replace("\n", " "))
 
 
 def _load(args, flag, parse):
     """parse applied to the JSON in the file named by the flag; a file
-    that cannot be opened or parsed raises _UnreadableInput naming the
-    flag."""
+    that cannot be opened or parsed raises _BadFile naming the flag."""
     path = getattr(args, flag)
     try:
         with open(path) as f:
             return parse(json.load(f))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _UnreadableInput(f"--{flag} {path}: {type(exc).__name__}: "
-                               f"{exc}".replace("\n", " ")) from exc
+        raise _BadFile(flag, path, exc) from exc
+
+
+def _check_writable(args, flag):
+    """Raise _BadFile naming the flag if its output file cannot be opened
+    for writing; a file the check creates is removed again."""
+    path = getattr(args, flag, None)
+    if path:
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise _BadFile(flag, path, exc) from exc
+        if not existed:
+            os.remove(path)
 
 
 def _ideal_points(rows, n, count):
@@ -173,7 +192,7 @@ def cmd_preset(args):
         "generators": len(p.generators),
         "relators": [list(w) for w in p.relators],
         "cells": len(p.cells),
-        "covolume": covolume(p),
+        "covolume": p.covolume,
         "cusp_floor": p.cusp_floor,
         "verified": True,
     }, args)
@@ -379,12 +398,14 @@ def run(argv) -> int:
     if args.command == "preserves-regular" and args.trials < 1:
         ap.exit(2, "preserves-regular needs --trials >= 1\n")
     try:
+        _check_writable(args, "out")
+        _check_writable(args, "csv")
         return args.func(args)
     except HyprigError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
-    except _UnreadableInput as exc:
+    except _BadFile as exc:
         ap.exit(2, f"{exc}\n")
 
 

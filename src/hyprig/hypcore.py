@@ -4,11 +4,13 @@ The canonical model is the hyperboloid in Minkowski space R^(n,1) with the
 form  <x, y> = x_0 y_0 + ... + x_{n-1} y_{n-1} - x_n y_n  (time coordinate
 last, positive on the upper sheet).  Points of the boundary sphere at
 infinity are stored as unit vectors of S^{n-1}; when Minkowski algebra is
-needed they are lifted to the null vector (xi, 1).
+needed they are lifted to the null vector (xi, 1) by :func:`null_lifts`.
 
 Klein ball, Poincare ball and upper half-space coordinates are charts
 reachable through :func:`convert`; all group computations stay on the
-hyperboloid where isometries are exact linear algebra.
+hyperboloid where isometries are exact linear algebra.  The upper
+half-space model sends the pole (0, ..., 0, 1) to infinity; its charts are
+:func:`halfspace_chart` on the boundary and :func:`halfspace_to_hyperboloid`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ def minkowski_matrix(n: int) -> np.ndarray:
     J = np.eye(n + 1)
     J[n, n] = -1.0
     return J
+
+
+def null_lifts(X) -> np.ndarray:
+    """The fixed-scale null vectors (xi, 1) in R^(n,1) of boundary points,
+    the rows of X (..., n), as (..., n+1)."""
+    X = np.asarray(X, dtype=float)
+    return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
 
 
 def mink(x, y) -> float:
@@ -89,7 +98,7 @@ class IdealPoint:
 
     def null_lift(self) -> np.ndarray:
         """The fixed-scale null vector (xi, 1) in R^(n,1)."""
-        return np.append(self.coords, 1.0)
+        return null_lifts(self.coords)
 
 
 @dataclass(frozen=True)
@@ -214,8 +223,7 @@ def act_ideal_many(M, X) -> np.ndarray:
     if M.shape[-1] != X.shape[-1] + 1:
         raise DimensionMismatch(f"isometry of H^{M.shape[-1] - 1} on point "
                                 f"of S^{X.shape[-1] - 1}")
-    lifts = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
-    Y = np.matmul(lifts, np.swapaxes(M, -1, -2))
+    Y = np.matmul(null_lifts(X), np.swapaxes(M, -1, -2))
     V = Y[..., :-1] / Y[..., -1:]
     return V / np.linalg.norm(V, axis=-1, keepdims=True)
 
@@ -341,12 +349,9 @@ def _to_hyperboloid(x, model):
         if r2 >= 1.0:
             raise OutOfModel("Poincare coordinates must have norm < 1")
         return np.append(2.0 * x / (1.0 - r2), (1.0 + r2) / (1.0 - r2))
-    # halfspace -> poincare ball via the Cayley inversion.
     if x[-1] <= 0:
         raise OutOfModel("half-space coordinates must have last entry > 0")
-    y = x.copy()
-    y[-1] = -y[-1]
-    return _to_hyperboloid(_invert(y), "poincare")
+    return halfspace_to_hyperboloid(x[:-1], x[-1])
 
 
 def _from_hyperboloid(h, model):
@@ -356,38 +361,35 @@ def _from_hyperboloid(h, model):
         return h[:-1] / h[-1]
     if model == "poincare":
         return h[:-1] / (1.0 + h[-1])
-    return _cayley(_from_hyperboloid(h, "poincare"))
+    t = 1.0 / (h[-1] - h[-2])
+    return np.append(t * h[:-2], t)
 
 
-def _invert(p):
-    """Inversion in the sphere of radius sqrt(2) centered at e_n."""
-    e = np.zeros_like(p)
-    e[-1] = 1.0
-    d = p - e
-    r2 = float(np.dot(d, d))
-    if r2 == 0.0:
-        raise OutOfModel("Cayley map undefined at the inversion center")
-    return e + 2.0 * d / r2
+def halfspace_to_hyperboloid(x, t) -> np.ndarray:
+    """Upper half-space points (x, t), feet x (..., n-1) and heights
+    t (...) > 0, on the hyperboloid: (x/t, (s-1)/(2t), (s+1)/(2t)) with
+    s = |x|^2 + t^2.  :func:`convert` inverts it by t = 1/(y_n - y_{n-1}),
+    x = t y_{<n-1}."""
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    s = np.einsum("...i,...i->...", x, x) + t * t
+    return np.concatenate([x / t[..., None], ((s - 1.0) / (2.0 * t))[..., None],
+                           ((s + 1.0) / (2.0 * t))[..., None]], axis=-1)
 
 
-def _cayley(p):
-    """Cayley map from the Poincare ball to the upper half-space: the
-    inversion above followed by a flip of the last coordinate.  It sends
-    the ball origin to (0, ..., 0, 1) and the boundary sphere minus the
-    pole e_n to the plane t = 0 by stereographic projection."""
-    out = _invert(p)
-    out[-1] = -out[-1]
-    return out
+def halfspace_chart(X) -> np.ndarray:
+    """Boundary chart of the upper half-space model: stereographic
+    projection from the pole (0, ..., 0, 1) of boundary points, the rows
+    of X (..., n), to R^{n-1}, the boundary of upper half-space."""
+    return X[..., :-1] / (1.0 - X[..., -1:])
 
 
 def boundary_to_halfspace(xi: IdealPoint):
-    """Boundary chart of the upper half-space model: stereographic
-    projection of S^{n-1} from the pole e_n.  Returns a vector of length
-    n-1, or None for the pole itself (the point at infinity)."""
+    """:func:`halfspace_chart` of one boundary point, or None for the
+    pole itself (the point at infinity)."""
     c = xi.coords
     if 1.0 - c[-1] < 1e-13:
         return None
-    return c[:-1] / (1.0 - c[-1])
+    return halfspace_chart(c)
 
 
 def halfspace_to_boundary(w, n: int) -> IdealPoint:

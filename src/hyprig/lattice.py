@@ -29,16 +29,18 @@ from .hypcore import (
     IdealPoint,
     Isometry,
     act_ideal,
+    halfspace_chart,
+    halfspace_to_hyperboloid,
     identity_isometry,
     make_isometry,
 )
-from .volcocycle import circumsphere, halfspace_chart, v_n, vol
+from .volcocycle import circumsphere, v_n, vol
 
 RELATOR_TOL = 1e-8
 GLUING_TOL = 1e-8
 POLE_TOL = 1e-9
 PRESET_DIR_ENV = "HYPRIG_PRESET_DIR"
-DEFAULT_BIAS_TARGET = 1e-3
+BIAS_TARGET = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class LatticePreset:
     face_pairings: tuple
     cusp_floor: float
     charts: _Charts
-    covolume: float
+    covolume: float        # sum of |Vol_n| over the cells
 
 
 @dataclass(frozen=True)
@@ -234,12 +236,6 @@ def load_preset(name: str) -> LatticePreset:
                          cusp_floor=floor, charts=charts, covolume=covol)
 
 
-def covolume(preset: LatticePreset) -> float:
-    """Total volume of the fundamental domain: sum of |Vol_n| over cells,
-    as verified by load_preset."""
-    return preset.covolume
-
-
 def truncation_error_bound(preset: LatticePreset, T: float) -> float:
     """Bias bound for estimates on the T-truncated domain.
 
@@ -252,12 +248,11 @@ def truncation_error_bound(preset: LatticePreset, T: float) -> float:
     return float(v_n(n) * removed / preset.covolume)
 
 
-def default_truncation(preset: LatticePreset,
-                       bias: float = DEFAULT_BIAS_TARGET) -> float:
-    """Smallest truncation height with truncation_error_bound <= bias."""
+def default_truncation(preset: LatticePreset) -> float:
+    """Smallest truncation height with truncation_error_bound <= BIAS_TARGET."""
     n = preset.n
-    total_area = preset.charts.area.sum()
-    T = (v_n(n) * total_area / ((n - 1) * preset.covolume * bias)) ** (1.0 / (n - 1))
+    T = (v_n(n) * preset.charts.area.sum()
+         / ((n - 1) * preset.covolume * BIAS_TARGET)) ** (1.0 / (n - 1))
     return float(max(T, preset.cusp_floor * 1.01))
 
 
@@ -312,12 +307,9 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
     intensity = (h ** (-d) - T ** (-d)) / d
     weights = ch.area[cells] * intensity / (preset.covolume * p_cell[cells])
 
-    # half-space (x, t) on the hyperboloid, in closed form:
-    # (x/t, (s-1)/(2t), (s+1)/(2t)) with s = |x|^2 + t^2
-    s = np.einsum("ij,ij->i", x, x) + t * t
-    y = np.concatenate([x / t[:, None], ((s - 1.0) / (2.0 * t))[:, None]],
-                       axis=1)
-    y0 = (s + 1.0) / (2.0 * t)
+    # the base point (x, t) on the hyperboloid, as (y, y0)
+    Y = halfspace_to_hyperboloid(x, t)
+    y, y0 = Y[:, :n], Y[:, n]
 
     # Haar frames: QR of Gaussian matrices, column signs fixed by diag(R)
     Q, R = np.linalg.qr(gauss)

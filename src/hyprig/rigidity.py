@@ -30,7 +30,7 @@ from .errors import (
 )
 from .boundary import evaluate_many
 from .hypcore import (Isometry, act_ideal, act_ideal_many, make_isometry,
-                      random_isometry)
+                      minkowski_matrix, null_lifts, random_isometry)
 from .lattice import LatticePreset
 from .regref import (RegularSimplex, face_reflections, reference_regular,
                      reflection_walk)
@@ -41,6 +41,7 @@ REGULARITY_TOL = 1e-9
 IMAGE_TOL = 1e-6
 ORBIT_TOL = 1e-8
 SOLVE_RESIDUAL_TOL = 1e-7
+WINDOW = 1.0  # largest translation of the isometries placing the simplices
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,10 @@ class ReconstructionResult:
 
 
 def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
-                      seed=0, window: float = 1.0) -> PreservationReport:
+                      seed=0) -> PreservationReport:
     """Sample random regular simplices and test their images.
 
-    Each trial takes g random in a compact window, applies phi to the
+    Each trial takes g random in the compact WINDOW, applies phi to the
     vertices of g times the reference simplex, and checks regularity of
     the image at tol; among passing trials the image orientation is
     compared with the source orientation.  The isometries are drawn in
@@ -72,7 +73,7 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     ref = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
-    G = np.array([random_isometry(rng, n, max_translation=window).matrix
+    G = np.array([random_isometry(rng, n, max_translation=WINDOW).matrix
                   for _ in range(trials)])
     src = act_ideal_many(G, ref)
     img = evaluate_many(phi, src.reshape(-1, n)).reshape(src.shape)
@@ -98,10 +99,10 @@ def isometry_from_simplex_pair(source: RegularSimplex,
     for s in (source, target):
         if not is_regular(list(s.base.vertices), regularity_tol):
             raise NotRegular("input simplex fails the regularity test")
-    S = np.array([np.append(v.coords, 1.0) for v in source.base.vertices])
-    T = np.array([np.append(v.coords, 1.0) for v in target.base.vertices])
+    S = null_lifts([v.coords for v in source.base.vertices])
+    T = null_lifts([v.coords for v in target.base.vertices])
     m = len(S)
-    J = np.diag([1.0] * (m - 1) + [-1.0])
+    J = minkowski_matrix(m - 1)
     GS = S @ J @ S.T
     GT = T @ J @ T.T
 
@@ -173,7 +174,7 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
 
 
 def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
-              seed=0, window: float = 1.0) -> Isometry:
+              seed=0) -> Isometry:
     """Reconstruction from m independent seed simplices, required to
     agree within tol in max-abs matrix norm.  Errors from any single
     reconstruction propagate; nothing is skipped."""
@@ -183,7 +184,7 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
     ref = reference_regular(n, 1)
     results = []
     for _ in range(m):
-        g = random_isometry(rng, n, max_translation=window)
+        g = random_isometry(rng, n, max_translation=WINDOW)
         verts = tuple(act_ideal(g, v) for v in ref.base.vertices)
         seed_s = RegularSimplex(IdealSimplex(verts), orientation_sign(verts))
         results.append(reconstruct_isometry(phi, seed_s, depth))

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSimplex, UnsupportedDimension
-from .hypcore import IdealPoint
+from .hypcore import IdealPoint, halfspace_chart, null_lifts
 from .quadrature import integrate_simplex
 
 COINCIDENCE_TOL = 1e-12
@@ -123,8 +123,7 @@ def orientation_signs(P) -> np.ndarray:
     """Orientations of N vertex orders P (N, n+1, n): the sign of det of
     the null lifts, 0 below the degeneracy cut, where the points lie on
     the boundary sphere of a hyperplane (the straightened simplex is flat)."""
-    P = np.asarray(P, dtype=float)
-    d = np.linalg.det(np.concatenate([P, np.ones(P.shape[:2] + (1,))], axis=2))
+    d = np.linalg.det(null_lifts(P))
     return np.where(np.abs(d) < DEGENERATE_DET_TOL, 0, np.sign(d)).astype(int)
 
 
@@ -227,12 +226,6 @@ def _chart_points(points, apex):
         R = np.eye(n) - 2.0 * np.outer(v, v)  # swaps apex and pole
     return halfspace_chart(np.array([R @ p.coords for i, p in enumerate(points)
                                      if i != apex]))
-
-
-def halfspace_chart(X):
-    """Projection from the pole e_{n-1}: boundary points, the rows of X,
-    to their coordinates on R^{n-1}, the boundary of upper half-space."""
-    return X[:, :-1] / (1.0 - X[:, -1:])
 
 
 def circumsphere(W):

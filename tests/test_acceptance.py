@@ -31,7 +31,7 @@ from hyprig.hypcore import (
     reflect_in,
     straighten,
 )
-from hyprig.lattice import covolume, load_preset
+from hyprig.lattice import load_preset
 from hyprig.rigidity import consensus, preserves_regular, verify_conjugacy
 from hyprig.smear import milnor_wood_check, volume_ratio
 from hyprig.volcocycle import V3, is_regular, v_n, vol, vol3, vol_defect
@@ -127,7 +127,7 @@ def test_criterion_03_maximality():
 
 
 def test_criterion_04_proportionality(fig8):
-    assert abs(covolume(fig8) / v_n(3) - 2.0) <= 1e-6
+    assert abs(fig8.covolume / v_n(3) - 2.0) <= 1e-6
     _report(4, "proportionality spot-check")
 
 

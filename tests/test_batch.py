@@ -1,6 +1,7 @@
 """The array paths against independent or scalar references: the batched
-smearing integral against the per-sample formula, vol3_batch against
-quadrature, the exactness of vol2_batch, and the reproducibility and
+smearing integral against the per-sample formula, the boundary maps
+against point-by-point reference loops, vol3_batch against quadrature,
+the exactness of vol2_batch, and the reproducibility, half-space lift and
 diagnostics of the Haar sampler."""
 
 import math
@@ -11,7 +12,7 @@ import pytest
 from hyprig.boundary import make_boundary_map
 from hyprig.errors import DimensionMismatch
 from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many,
-                            random_isometry)
+                            halfspace_to_hyperboloid, random_isometry)
 from hyprig.lattice import default_truncation, load_preset, sample_haar
 from hyprig.smear import smear_integral, volume_ratio
 from hyprig.volcocycle import orientation_sign, vol, vol2_batch, vol3_batch, voln
@@ -65,6 +66,37 @@ def test_smear_integral_matches_per_sample_formula(presets, name, kind):
         assert est.value == 0.0
 
 
+def reference_map(phi, X):
+    """The images of the rows of X under phi, one point at a time, from
+    the definition of each map kind rather than from its evaluators."""
+    p = phi.params
+    if phi.kind == "planted_isometry":
+        return np.array([act_ideal(p["g"], IdealPoint(x)).coords for x in X])
+    if phi.kind == "perturbed":
+        g, n = p["g"], p["g"].n
+        rng = np.random.default_rng(p["seed"])
+        A = rng.standard_normal((n, n))
+        c = rng.standard_normal(n)
+        bound = np.linalg.norm(A, 2) + np.linalg.norm(c)
+        out = []
+        for x in X:
+            eta = act_ideal(g, IdealPoint(x)).coords
+            raw = (A @ x + c) / bound
+            y = eta + p["amplitude"] * (raw - np.dot(raw, eta) * eta)
+            out.append(y / np.linalg.norm(y))
+        return np.array(out)
+    if phi.kind == "tabulated":
+        table = np.array([q.coords for q in p["points"]])
+        out = []
+        for x in X:
+            d = np.linalg.norm(table - x, axis=1)
+            i = int(np.argmin(d))
+            assert d[i] <= p["radius"]
+            out.append(p["images"][i].coords)
+        return np.array(out)
+    return np.tile(p["point"].coords, (len(X), 1))
+
+
 def test_evaluate_many_matches_evaluate(presets):
     rng = np.random.default_rng(5)
     for n in (2, 3):
@@ -73,8 +105,12 @@ def test_evaluate_many_matches_evaluate(presets):
             phi = make_map(kind, n, rng)
             many = phi.evaluate_many(X)
             one = np.array([phi(IdealPoint(x)).coords for x in X])
+            ref = reference_map(phi, X)
             assert many.shape == X.shape
-            assert np.max(np.abs(many - one)) <= 1e-14, kind
+            assert np.max(np.abs(many - ref)) <= 1e-14, kind
+            assert np.max(np.abs(one - ref)) <= 1e-14, kind
+            if kind in ("tabulated", "constant"):
+                assert np.array_equal(many, ref) and np.array_equal(one, ref)
 
 
 def test_act_ideal_many_matches_act_ideal():
@@ -97,8 +133,8 @@ def test_act_ideal_many_matches_act_ideal():
 
 
 def test_tabulated_batch_separates_near_coincident_points():
-    """Table points 1e-9 apart: the batch lookup picks the row the scalar
-    one does, and so the same image."""
+    """Table points 1e-9 apart: the batch and one-point lookups pick the
+    row the reference loop does, and so the same image."""
     rng = np.random.default_rng(13)
     p = unit_rows(rng, 3)
     t = np.cross(p, unit_rows(rng, 3))
@@ -113,10 +149,11 @@ def test_tabulated_batch_separates_near_coincident_points():
         images=[IdealPoint(y) for y in images], radius=1e-3)
     X = p + np.linspace(-1.0, 2.0, 31)[:, None] * (q - p)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    one = np.array([phi(IdealPoint(x)).coords for x in X])
-    assert np.array_equal(phi.evaluate_many(X), one)
+    ref = reference_map(phi, X)
+    assert np.array_equal(phi.evaluate_many(X), ref)
+    assert np.array_equal(np.array([phi(IdealPoint(x)).coords for x in X]), ref)
     # both table points win for some queries
-    assert {tuple(y) for y in one} == {tuple(images[0]), tuple(images[1])}
+    assert {tuple(y) for y in ref} == {tuple(images[0]), tuple(images[1])}
 
 
 def _near_flat_tetrahedron(rng, delta):
@@ -188,6 +225,22 @@ def test_sample_haar_bit_reproducible(presets, name):
     for i in range(len(draws)):
         for j in range(i + 1, len(draws)):
             assert not np.array_equal(draws[i], draws[j])
+
+
+def test_halfspace_lift_matches_sample_haar_closed_form():
+    """halfspace_to_hyperboloid bit for bit against the lift sample_haar
+    wrote out inline, on batches of feet x and heights t in R^d for the
+    presets' d = 1, 2 and for d = 3."""
+    rng = np.random.default_rng(73)
+    for d in (1, 2, 3):
+        x = rng.uniform(-1.0, 1.0, (500, d))
+        t = rng.uniform(0.5, 40.0, 500)
+        s = np.einsum("ij,ij->i", x, x) + t * t
+        y = np.concatenate([x / t[:, None], ((s - 1.0) / (2.0 * t))[:, None]],
+                           axis=1)
+        y0 = (s + 1.0) / (2.0 * t)
+        Y = halfspace_to_hyperboloid(x, t)
+        assert np.array_equal(Y[:, :-1], y) and np.array_equal(Y[:, -1], y0)
 
 
 def test_haar_batch_items(presets):

@@ -350,3 +350,39 @@ def test_density_probe_target_of_wrong_dimension_exits_1(tmp_path, capsys):
                 "--target", str(f)])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command ran before its output was checked")
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--out", ["vn", "--n", "3"]),
+    ("--csv", ["smear", "--preset", "test_reflection_2d",
+               "--map", "planted-identity", "--samples", "40", "--seed", "1",
+               "--simplices", "2"]),
+])
+def test_unwritable_output_file_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, flag, argv):
+    monkeypatch.setattr("hyprig.cli.v_n", _no_work)
+    monkeypatch.setattr("hyprig.cli.volume_ratio", _no_work)
+    path = tmp_path / "nodir" / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{flag} {path}: FileNotFoundError")
+
+
+def test_output_check_leaves_no_file_behind(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    # v_n(1) raises UnsupportedDimension after the output check
+    assert run(["vn", "--n", "1", "--out", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UnsupportedDimension"
+    assert not path.exists()
+    path.write_text("old")
+    assert run(["vn", "--n", "3", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["n"] == 3

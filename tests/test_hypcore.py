@@ -19,6 +19,7 @@ from hyprig.hypcore import (
     boundary_to_halfspace,
     convert,
     halfspace_to_boundary,
+    halfspace_to_hyperboloid,
     hyperplane_through,
     identity_isometry,
     isometry_from_sl2,
@@ -235,6 +236,58 @@ def test_model_known_values():
         convert(np.array([0.0, 0.0, -0.5]), "halfspace", "poincare")
     with pytest.raises(OutOfModel):
         convert(np.array([1.5, 0.0]), "klein", "poincare")
+
+
+def test_halfspace_chart_against_distance_identity():
+    """cosh d = -<P, Q> on the hyperboloid and 1 + |p - q|^2 / (2 t_p t_q)
+    in upper half-space; convert inverts the chart, which, as t -> 0,
+    meets the boundary chart."""
+    rng = np.random.default_rng(67)
+    for n in (2, 3, 4):
+        p, q = (np.column_stack([rng.uniform(-2.0, 2.0, (50, n - 1)),
+                                 rng.uniform(0.1, 3.0, 50)]) for _ in range(2))
+        P = halfspace_to_hyperboloid(p[:, :-1], p[:, -1])
+        Q = halfspace_to_hyperboloid(q[:, :-1], q[:, -1])
+        cosh = -np.array([mink(a, b) for a, b in zip(P, Q)])
+        ref = 1.0 + np.sum((p - q) ** 2, axis=1) / (2.0 * p[:, -1] * q[:, -1])
+        assert np.max(np.abs(cosh - ref) / ref) < 1e-12
+        for a in P:
+            assert a[-1] > 0 and abs(mink(a, a) + 1.0) < 1e-12 * a[-1] ** 2
+        for a, b in zip(P, p):
+            assert np.max(np.abs(convert(a, "hyperboloid", "halfspace") - b)) < 1e-12
+        for w in p[:5, :-1]:
+            a = halfspace_to_hyperboloid(w, 1e-7)
+            xi = halfspace_to_boundary(w, n).coords
+            assert np.max(np.abs(a[:-1] / a[-1] - xi)) < 1e-12
+
+
+def _cayley_inversion(p):
+    """Inversion in the sphere of radius sqrt(2) centered at e_n."""
+    e = np.zeros_like(p)
+    e[-1] = 1.0
+    d = p - e
+    return e + 2.0 * d / float(d @ d)
+
+
+def _flip_last(p):
+    out = p.copy()
+    out[-1] = -out[-1]
+    return out
+
+
+def test_halfspace_convert_matches_cayley_inversion():
+    """The Cayley map, inversion then a flip of the last coordinate, takes
+    the Poincare ball to the upper half-space; the flip then the inversion
+    takes it back."""
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 4):
+        for _ in range(30):
+            x = random_space_point(rng, n, scale=0.8).coords
+            ball = convert(x, "hyperboloid", "poincare")
+            hs = convert(x, "hyperboloid", "halfspace")
+            assert np.max(np.abs(hs - _flip_last(_cayley_inversion(ball)))) < 1e-12
+            back = convert(hs, "halfspace", "poincare")
+            assert np.max(np.abs(back - _cayley_inversion(_flip_last(hs)))) < 1e-12
 
 
 def test_boundary_chart_round_trip():
