@@ -27,8 +27,11 @@ from .hypcore import (
     SpacePoint,
     act_ideal,
     act_ideal_many,
+    act_point,
+    basepoint,
     convert,
     make_isometry,
+    translation_to,
 )
 
 MEASURE_TOL = 1e-12
@@ -79,22 +82,21 @@ def _atom_arrays(mu: BoundaryMeasure):
             np.array([w for _, w in mu.atoms]))
 
 
-def _gamma_field(mu: BoundaryMeasure, x: np.ndarray) -> np.ndarray:
+def _gamma_field(X: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The conformal vector field V(x) = sum w_i gamma_x(xi_i) in ball
-    coordinates, gamma_x the canonical Moebius map taking x to the origin.
+    coordinates of the measure with atoms X (k, n) and weights w (k,),
+    gamma_x the canonical Moebius map taking x to the origin.
 
     On the sphere gamma_x(xi) = (1 - |x|^2) D / |D|^2 - x with D = xi - x,
     so V(x) = (1 - |x|^2) sum w_i D_i / q_i - x, q_i = |D_i|^2."""
-    X, w = _atom_arrays(mu)
     D = X - x
     s = (w / np.einsum("ij,ij->i", D, D)) @ D
     return (1.0 - x @ x) * s - x
 
 
-def _gamma_jacobian(mu: BoundaryMeasure, x: np.ndarray) -> np.ndarray:
+def _gamma_jacobian(X: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Jacobian of `_gamma_field` at x, with s = sum w_i D_i / q_i:
     (1 - |x|^2)(2 sum w_i D_i D_i^T / q_i^2 - sum w_i / q_i I) - 2 s x^T - I."""
-    X, w = _atom_arrays(mu)
     D = X - x
     q = np.einsum("ij,ij->i", D, D)
     eye = np.eye(len(x))
@@ -102,38 +104,81 @@ def _gamma_jacobian(mu: BoundaryMeasure, x: np.ndarray) -> np.ndarray:
     return (1.0 - x @ x) * inner - 2.0 * np.outer((w / q) @ D, x) - eye
 
 
+def _newton_step(X, w, x, v, res):
+    """A damped Newton step on the field from x, where it is v with norm
+    res: the step is halved until the field norm decreases and the iterate
+    stays in the open ball.  Returns the new (x, v, res), or None when 40
+    halvings find no decrease."""
+    try:
+        step = np.linalg.solve(_gamma_jacobian(X, w, x), -v)
+    except np.linalg.LinAlgError:
+        step = -v
+    for _ in range(40):
+        cand = x + step
+        if np.dot(cand, cand) < 1.0 - 1e-12:
+            vc = _gamma_field(X, w, cand)
+            if np.linalg.norm(vc) < res:
+                return cand, vc, np.linalg.norm(vc)
+        step *= 0.5
+    return None
+
+
 def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10) -> SpacePoint:
     """The unique zero of the conformal vector field of the measure.
 
-    Damped Newton on ball coordinates with the exact Jacobian: the step is
-    halved until the field norm decreases and the iterate stays in the
-    open ball.  Requires that no atom carries mass 1/2 or more (the field
-    has no zero otherwise).
+    Damped Newton on ball coordinates with the exact Jacobian.  Requires
+    that no atom carries mass 1/2 or more (the field has no zero
+    otherwise).  Near the sphere the ball Jacobian degenerates and |V|
+    can stall at a spurious minimum; when the line search finds no
+    decrease, the solve goes on by `_recentered_newton`.
     """
     if any(w >= 0.5 for _, w in mu.atoms):
         raise DominantAtom("an atom of mass >= 1/2 blocks the barycenter")
-    x = 0.5 * sum(w * p.coords for p, w in mu.atoms)
-    v = _gamma_field(mu, x)
+    X, w = _atom_arrays(mu)
+    x = 0.5 * sum(wi * p.coords for p, wi in mu.atoms)
+    v = _gamma_field(X, w, x)
     res = np.linalg.norm(v)
     for _ in range(BARYCENTER_MAX_ITER):
         if res <= tol:
             return SpacePoint(convert(x, "poincare", "hyperboloid"))
-        try:
-            step = np.linalg.solve(_gamma_jacobian(mu, x), -v)
-        except np.linalg.LinAlgError:
-            step = -v
-        for _ in range(40):
-            cand = x + step
-            if np.dot(cand, cand) < 1.0 - 1e-12:
-                vc = _gamma_field(mu, cand)
-                if np.linalg.norm(vc) < res:
-                    x, v, res = cand, vc, np.linalg.norm(vc)
-                    break
-            step *= 0.5
-        else:
-            break
+        moved = _newton_step(X, w, x, v, res)
+        if moved is None:
+            return _recentered_newton(X, w, x, tol)
+        x, v, res = moved
     if res <= tol:
         return SpacePoint(convert(x, "poincare", "hyperboloid"))
+    raise NoConvergence(f"barycenter residual {res:.3e} > tol {tol:.3e}",
+                        residual=res)
+
+
+def _recentered_newton(X, w, x, tol):
+    """The barycenter solve continued from x in hyperbolic coordinates.
+
+    The translation T taking the basepoint to x moves the atoms to
+    eta = T^-1 xi, and the field of the moved measure at the origin has
+    the norm of V(x).  There the Jacobian is 2 sum w_i eta_i eta_i^T - 2I,
+    well conditioned however far out x lies, so each damped Newton step s
+    is taken at the origin; the translation S to s then moves the atoms
+    again, and T becomes T S."""
+    origin = np.zeros(len(x))
+    T = translation_to(SpacePoint(convert(x, "poincare", "hyperboloid")))
+    eta = act_ideal_many(T.inverse().matrix, X)
+    v = w @ eta
+    res = np.linalg.norm(v)
+    for _ in range(BARYCENTER_MAX_ITER):
+        if res <= tol:
+            return act_point(T, basepoint(len(x)))
+        moved = _newton_step(eta, w, origin, v, res)
+        if moved is None:
+            break
+        S = translation_to(SpacePoint(convert(moved[0], "poincare",
+                                              "hyperboloid")))
+        T = T @ S
+        eta = act_ideal_many(S.inverse().matrix, eta)
+        v = w @ eta
+        res = np.linalg.norm(v)
+    if res <= tol:
+        return act_point(T, basepoint(len(x)))
     raise NoConvergence(f"barycenter residual {res:.3e} > tol {tol:.3e}",
                         residual=res)
 

@@ -59,6 +59,13 @@ def mink(x, y) -> float:
     return float(np.dot(x[:-1], y[:-1]) - x[-1] * y[-1])
 
 
+def _on_hyperboloid(x) -> bool:
+    """Whether <x, x> = -1 within POINT_TOL max(1, x_n^2): the form is
+    evaluated with cancellation of order |x|^2 eps, so the tolerance has to
+    scale for points far from the basepoint."""
+    return abs(mink(x, x) + 1.0) <= POINT_TOL * max(1.0, x[-1] ** 2)
+
+
 @dataclass(frozen=True)
 class SpacePoint:
     """A point of H^n, stored as its hyperboloid representative."""
@@ -68,9 +75,7 @@ class SpacePoint:
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
         object.__setattr__(self, "coords", c)
-        # the form is evaluated with cancellation of order |x|^2 eps, so
-        # the tolerance has to scale for points far from the basepoint
-        if abs(mink(c, c) + 1.0) > POINT_TOL * max(1.0, c[-1] ** 2):
+        if not _on_hyperboloid(c):
             raise OutOfModel(f"not on the hyperboloid: <x,x> = {mink(c, c)}")
         if c[-1] <= 0:
             raise OutOfModel("time coordinate must be positive")
@@ -335,7 +340,7 @@ def convert(x, from_model: str, to_model: str) -> np.ndarray:
 
 def _to_hyperboloid(x, model):
     if model == "hyperboloid":
-        if abs(mink(x, x) + 1.0) > 1e-9 or x[-1] <= 0:
+        if not _on_hyperboloid(x) or x[-1] <= 0:
             raise OutOfModel("not on the upper hyperboloid sheet")
         return x
     if model == "klein":

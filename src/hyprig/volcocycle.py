@@ -1,11 +1,13 @@
 """The signed volume cocycle on tuples of ideal points.
 
 Vol_n(xi_0, ..., xi_n) is the signed hyperbolic volume of the straightened
-simplex spanned by n+1 boundary points: exact (up to Lobachevsky-series
-truncation) for n = 2, 3 and adaptive quadrature for n = 4.  The sign is
-the orientation of the vertex order, read off the determinant of the null
-lifts, and the cocycle is normalized to be positive on the reference
-regular simplex with positive orientation.
+simplex spanned by n+1 boundary points, in closed form for n = 2, 3, 4:
+exact for n = 2, up to Lobachevsky-series truncation for n = 3, and up to
+a derived rounding-error bound for n = 4.  Adaptive quadrature (`voln`)
+is the independent oracle the tests check them against; no default path
+reaches it.  The sign is the orientation of the vertex order, read off the
+determinant of the null lifts, and the cocycle is normalized to be
+positive on the reference regular simplex with positive orientation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSimplex, UnsupportedDimension
-from .hypcore import IdealPoint, halfspace_chart, null_lifts
+from .hypcore import halfspace_chart, null_lifts
 from .quadrature import integrate_simplex
 
 COINCIDENCE_TOL = 1e-12
@@ -94,8 +96,6 @@ def lobachevsky(theta):
 V2 = math.pi
 V3 = 3.0 * lobachevsky(math.pi / 3.0)
 
-_VN_CACHE = {2: V2, 3: V3}
-
 
 # -- orientation and degeneracy --------------------------------------------
 
@@ -107,24 +107,37 @@ def _index_sets(m):
                           dtype=int).reshape(-1, k).T for k in (2, 4))
 
 
-def _coincident_rows(P):
-    """Per simplex of a batch P (N, k, n): whether two vertices coincide."""
+def _pair_gaps2(P):
+    """Squared chordal distances |xi_i - xi_j|^2 of the vertex pairs i < j
+    of each simplex of a batch P (N, k, n), as (N, C(k, 2)) in
+    lexicographic order."""
     i, j = _index_sets(P.shape[1])[0]
     diff = P[:, i] - P[:, j]
-    gaps2 = np.einsum("...i,...i->...", diff, diff)
+    return np.einsum("...i,...i->...", diff, diff)
+
+
+def _coincident_rows(gaps2):
+    """Per simplex, from its squared pair gaps (N, C(k, 2)) of
+    `_pair_gaps2`: whether two vertices coincide."""
     return np.any(gaps2 < COINCIDENCE_TOL ** 2, axis=1)
 
 
 def _coincident_pair(points) -> bool:
-    return bool(_coincident_rows(np.array([p.coords for p in points])[None])[0])
+    P = np.array([p.coords for p in points])[None]
+    return bool(_coincident_rows(_pair_gaps2(P))[0])
+
+
+def _signs(dets) -> np.ndarray:
+    """Orientations from null-lift determinants, 0 below the degeneracy cut."""
+    return np.where(np.abs(dets) < DEGENERATE_DET_TOL, 0,
+                    np.sign(dets)).astype(int)
 
 
 def orientation_signs(P) -> np.ndarray:
     """Orientations of N vertex orders P (N, n+1, n): the sign of det of
     the null lifts, 0 below the degeneracy cut, where the points lie on
     the boundary sphere of a hyperplane (the straightened simplex is flat)."""
-    d = np.linalg.det(null_lifts(P))
-    return np.where(np.abs(d) < DEGENERATE_DET_TOL, 0, np.sign(d)).astype(int)
+    return _signs(np.linalg.det(null_lifts(P)))
 
 
 def orientation_sign(simplex) -> int:
@@ -144,7 +157,7 @@ def vol2_batch(P) -> np.ndarray:
     coincide or the null-lift determinant is below the degeneracy cut."""
     P = np.asarray(P, dtype=float)
     out = math.pi * orientation_signs(P)
-    out[_coincident_rows(P)] = 0.0
+    out[_coincident_rows(_pair_gaps2(P))] = 0.0
     return out
 
 
@@ -185,7 +198,7 @@ def vol3_batch(P) -> np.ndarray:
     # vertex 3; projective determinants avoid the point at infinity.
     num = det(3, 0) * det(1, 2)
     den = det(3, 2) * det(1, 0)
-    flat = (den == 0) | _coincident_rows(P)
+    flat = (den == 0) | _coincident_rows(_pair_gaps2(P))
     z = num / np.where(flat, 1.0, den)
     flat |= (z.imag == 0) | (z == 0.0) | (z == 1.0)
     z = np.where(flat, 1j, z)
@@ -205,7 +218,128 @@ def vol3(simplex) -> VolumeResult:
     return VolumeResult(value, 0.0 if value == 0.0 else 1e-12, "lobachevsky3")
 
 
-# -- general quadrature evaluator ------------------------------------------
+# -- the closed form for n = 4 ----------------------------------------------
+#
+# Every 2-face of an ideal 4-simplex is an ideal triangle of area pi, so
+# Schlaefli's formula dVol = -(1/3) sum_F Vol(F) dtheta_F makes the volume
+# an affine function of the ten dihedral angles (Milnor, "The Schlaefli
+# differential equality"; Kellerhals, Math. Ann. 1989).
+
+V4 = 4.0 * math.pi ** 2 / 3.0 - (10.0 * math.pi / 3.0) * math.acos(1.0 / 3.0)
+
+_U = np.finfo(float).eps / 2.0      # unit roundoff
+
+
+def _det_error(M):
+    """First-order bound on the rounding error of `np.linalg.det` on each
+    matrix of M (..., n, n), whose entries may carry a relative error up
+    to 6u.
+
+    LU with partial pivoting returns det(M + E) with |E_rc| at most
+    n^2 2^(n-1) u max|M|, 2^(n-1) being the worst-case growth factor, and
+    the determinant is multilinear in the rows, so by Hadamard's
+    inequality |det(M + E) - det M| <= sum_r |E_r| prod_{s != r} |M_s|.
+    The entry errors add 6u n prod_s |M_s|, and the product of the pivots
+    n u |det| <= n u prod_s |M_s|."""
+    n = M.shape[-1]
+    rows = np.sqrt(np.einsum("...i,...i->...", M, M))
+    hadamard = rows.prod(axis=-1)
+    eta = (n * n * math.sqrt(n) * 2.0 ** (n - 1) * _U
+           * np.abs(M).max(axis=(-2, -1)))
+    return (eta * (hadamard[..., None] / rows).sum(axis=-1)
+            + 7.0 * n * _U * hadamard)
+
+
+_EDGE_I, _EDGE_J = np.triu_indices(5, 1)
+# the 4x4 minors of the 5x5 Gram matrix that vol4_batch needs: the five
+# principal ones, then the ten (i, j), i < j, with row i and column j cut
+_MINOR_ROWS = np.array([[r for r in range(5) if r != i]
+                        for i in [*range(5), *_EDGE_I]])
+_MINOR_COLS = np.array([[c for c in range(5) if c != j]
+                        for j in [*range(5), *_EDGE_J]])
+_COFACTOR_SIGNS = (-1.0) ** (_EDGE_I + _EDGE_J)
+# for each pair i < j the other three vertices
+_TRIPLES = np.array([[k for k in range(5) if k not in (i, j)]
+                     for i, j in zip(_EDGE_I, _EDGE_J)]).T
+# vertex gaps of the regular ideal 4-simplex are sqrt(5/2)
+_REGULAR_GRAM = -1.25 * (1.0 - np.eye(5))
+
+
+def vol4_batch(P):
+    """Signed volumes of N ideal 4-simplices, P of shape (N, 5, 4), and a
+    bound on the rounding error of each, as (values, abs_errors).
+
+    D_ij = -|xi_i - xi_j|^2/2 is the Gram matrix of the null lifts and
+    G = D^-1 the Gram matrix of the facet normals, so the dihedral angles
+    have cos theta_ij = -G_ij/sqrt(G_ii G_jj), and
+    Vol = eps (pi/3) |4 pi - sum_{i<j} theta_ij|, eps = `orientation_signs`.
+    Flat simplices (eps = 0) and coincident vertices give exactly 0.
+
+    D^-1 is not formed: its condition grows like 1/det(lifts)^2, and near
+    flat simplices it loses every digit.  With C the cofactors of D,
+    G = C/det D and det D = -det(lifts)^2, so
+    cos theta_ij = C_ij/sqrt(C_ii C_jj), and Jacobi's identity for the 2x2
+    minors of an inverse gives
+    sin theta_ij = |det(lifts)| sqrt(-2 D_kl D_km D_lm/(C_ii C_jj)),
+    {k, l, m} the other three vertices; theta_ij = atan2(sin, cos).  Each
+    C_ii is the Gram determinant of a facet, so no step divides by a small
+    determinant of the whole simplex.
+
+    The bound is derived from the computation, not assumed: `_det_error` bounds
+    each determinant, which bounds each cosine and sine to first order;
+    an angle moves by at most (pi/2) |(dcos, dsin)|/|(cos, sin)|, and the
+    ten angles and the rounding of their sum make the bound.  Where a
+    facet determinant or det(lifts) is not known to within a quarter, the
+    bound is |value| + V4, since no ideal 4-simplex is larger than the
+    regular one.
+    """
+    P = np.asarray(P, dtype=float)
+    lifts = null_lifts(P)
+    det = np.linalg.det(lifts)
+    eps = _signs(det)
+    gaps2 = _pair_gaps2(P)
+    live = (eps != 0) & ~_coincident_rows(gaps2)
+    D = np.zeros((len(P), 5, 5))
+    D[:, _EDGE_I, _EDGE_J] = D[:, _EDGE_J, _EDGE_I] = -0.5 * gaps2
+    # the dead rows compute the regular simplex, then are set to 0
+    D[~live] = _REGULAR_GRAM
+    det = np.where(live, np.abs(det), 1.0)
+    d_det = _det_error(lifts)
+
+    M = D[:, _MINOR_ROWS[:, :, None], _MINOR_COLS[:, None, :]]
+    minors = np.linalg.det(M)
+    d_minors = _det_error(M)
+    diag = np.abs(minors[:, :5])          # |C_ii|; every C_ii is < 0
+    rel = d_minors[:, :5] / diag
+    i, j = _EDGE_I, _EDGE_J
+    den = np.sqrt(diag[:, i] * diag[:, j])
+    k, l, m = _TRIPLES
+    cos = _COFACTOR_SIGNS * minors[:, 5:] / den
+    sin = det[:, None] * np.sqrt(
+        -2.0 * D[:, k, l] * D[:, k, m] * D[:, l, m]) / den
+    # cumsum adds in index order whatever N is (sum may go pairwise), so
+    # a simplex gets the same value alone and in a batch
+    value = eps * (math.pi / 3.0) * np.abs(
+        4.0 * math.pi - np.arctan2(sin, cos).cumsum(axis=-1)[:, -1])
+
+    rel_det = d_det / det
+    pair_rel = rel[:, i] + rel[:, j]
+    dcos = (2.0 * (d_minors[:, 5:] / den + 0.5 * np.abs(cos) * pair_rel)
+            + 4.0 * _U)
+    dsin = 2.0 * sin * (rel_det[:, None] + 0.5 * pair_rel + 14.0 * _U)
+    reach = np.hypot(dcos, dsin) / np.hypot(cos, sin)
+    dtheta = np.where(reach < 1.0, 0.5 * math.pi * reach, math.pi)
+    trivial = np.abs(value) + V4
+    bounded = (rel < 0.25).all(axis=-1) & (rel_det < 0.25)
+    err = np.where(bounded, np.minimum(
+        (math.pi / 3.0) * (dtheta.sum(axis=-1) + 64.0 * math.pi * _U),
+        trivial), trivial)
+    value[~live] = 0.0
+    err[~live] = 0.0
+    return value, err
+
+
+# -- quadrature, the oracle -------------------------------------------------
 
 def _chart_points(points, apex):
     """Stereographic chart sending the apex vertex to infinity.
@@ -239,7 +373,9 @@ def circumsphere(W):
 
 def voln(simplex, tol: float = 1e-6,
          max_evals: int = 2_000_000) -> VolumeResult:
-    """Signed volume of the straightened ideal simplex by quadrature.
+    """Signed volume of the straightened ideal simplex by quadrature: the
+    oracle for the exact evaluators, with which it shares only the
+    orientation sign and the coincidence test.
 
     The vertex best separated from the others is rotated to the pole and
     sent to infinity in the upper half-space model, where the vertical
@@ -279,27 +415,36 @@ def voln(simplex, tol: float = 1e-6,
     return VolumeResult(sign * value / (n - 1), err / (n - 1), "quadrature")
 
 
-def vol(simplex, tol: float = 1e-6, **kw) -> VolumeResult:
-    """Dispatch to the best evaluator for the dimension."""
+def vol(simplex, tol: float = 1e-6) -> VolumeResult:
+    """Vol_n of a simplex of n+1 ideal points, n = 2..4, by the closed form
+    for the dimension.  ``tol`` is accepted for callers that ask for an
+    accuracy; the closed forms do not read it and report their own
+    abs_error."""
     points = _vertex_list(simplex)
     n = len(points) - 1
     if n == 2:
         return vol2(points)
     if n == 3:
         return vol3(points)
-    return voln(points, tol=tol, **kw)
+    if n == 4:
+        P = np.array([p.coords for p in points])
+        value, err = vol4_batch(P[None])
+        return VolumeResult(float(value[0]), float(err[0]), "schlafli4")
+    raise UnsupportedDimension(f"Vol_n is evaluated for n = 2..4, got {n}")
 
 
 def vol_batch(P) -> np.ndarray:
-    """Signed volumes of N ideal simplices, P of shape (N, n+1, n): the
-    exact batch forms for n = 2, 3, quadrature simplex by simplex above."""
+    """Signed volumes of N ideal simplices, P of shape (N, n+1, n), n = 2..4,
+    by the batch forms of the exact evaluators."""
     P = np.asarray(P, dtype=float)
     n = P.shape[-1]
     if n == 2:
         return vol2_batch(P)
     if n == 3:
         return vol3_batch(P)
-    return np.array([voln([IdealPoint(p) for p in s]).value for s in P])
+    if n == 4:
+        return vol4_batch(P)[0]
+    raise UnsupportedDimension(f"Vol_n is evaluated for n = 2..4, got {n}")
 
 
 def vol_defect(points, tol: float = 1e-6) -> float:
@@ -313,15 +458,12 @@ def vol_defect(points, tol: float = 1e-6) -> float:
     return total
 
 
-def v_n(n: int, tol: float = 1e-7) -> float:
-    """Volume of the regular ideal n-simplex, the maximum of |Vol_n|."""
-    if n < 2:
-        raise UnsupportedDimension("hyperbolic volume needs n >= 2")
-    if n not in _VN_CACHE:
-        from .regref import reference_regular
-        ref = reference_regular(n, 1)
-        _VN_CACHE[n] = abs(vol(ref.base.vertices, tol=tol).value)
-    return _VN_CACHE[n]
+def v_n(n: int) -> float:
+    """Volume of the regular ideal n-simplex, the maximum of |Vol_n|, for
+    n = 2..4."""
+    if n not in (2, 3, 4):
+        raise UnsupportedDimension(f"v_n is known for n = 2..4, got {n}")
+    return (V2, V3, V4)[n - 2]
 
 
 # -- regularity -------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The array paths against independent or scalar references: the batched
 smearing integral against the per-sample formula, the boundary maps
 against point-by-point reference loops, vol3_batch against quadrature,
-the exactness of vol2_batch, and the reproducibility, half-space lift and
-diagnostics of the Haar sampler."""
+the exactness of vol2_batch, vol_batch against vol at n = 4, and the
+reproducibility, half-space lift and diagnostics of the Haar sampler."""
 
 import math
 
@@ -15,7 +15,8 @@ from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many,
                             halfspace_to_hyperboloid, random_isometry)
 from hyprig.lattice import default_truncation, load_preset, sample_haar
 from hyprig.smear import smear_integral, volume_ratio
-from hyprig.volcocycle import orientation_sign, vol, vol2_batch, vol3_batch, voln
+from hyprig.volcocycle import (orientation_sign, vol, vol2_batch, vol3_batch,
+                               vol_batch, voln)
 
 PRESETS = ("figure_eight_3d", "test_reflection_2d")
 KINDS = ("planted_isometry", "perturbed", "tabulated", "constant")
@@ -209,6 +210,21 @@ def test_vol2_batch_exact():
         [-close[:, 0, 1], close[:, 0, 0]], axis=1)
     close[:, 1] /= np.linalg.norm(close[:, 1], axis=1, keepdims=True)
     assert np.all(vol2_batch(close) == 0.0)
+
+
+def test_vol_batch_matches_vol_bit_for_bit_n4():
+    rng = np.random.default_rng(37)
+    P = unit_rows(rng, (200, 5, 4))
+    P[1, 3] = P[1, 0]                        # coincident vertices
+    P[2, :, 3] = 0.0                         # flat: on a great 2-sphere
+    P[2] = P[2] / np.linalg.norm(P[2], axis=1, keepdims=True)
+    P[3, 4] = P[3, 0] + 1e-7 * rng.standard_normal(4)    # nearly coincident
+    P[3, 4] /= np.linalg.norm(P[3, 4])
+    batch = vol_batch(P)
+    scalar = [vol([IdealPoint(x) for x in s]) for s in P]
+    assert np.array_equal(batch, [r.value for r in scalar])
+    assert batch[1] == 0.0 and batch[2] == 0.0 and batch[3] != 0.0
+    assert {r.method for r in scalar} == {"schlafli4"}
 
 
 @pytest.mark.parametrize("name", PRESETS)

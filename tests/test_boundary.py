@@ -92,7 +92,7 @@ def test_barycenter_equivariance():
 
 def test_barycenter_random_measures_field_zero():
     rng = np.random.default_rng(7)
-    from hyprig.boundary import _gamma_field
+    from hyprig.boundary import _atom_arrays, _gamma_field
     from hyprig.hypcore import convert
     for _ in range(10):
         pts = [random_ideal(rng, 3) for _ in range(4)]
@@ -102,7 +102,23 @@ def test_barycenter_random_measures_field_zero():
         mu = BoundaryMeasure(tuple(zip(pts, w)))
         b = conformal_barycenter(mu, tol=1e-11)
         ball = convert(b.coords, "hyperboloid", "poincare")
-        assert np.linalg.norm(_gamma_field(mu, ball)) < 1e-10
+        assert np.linalg.norm(_gamma_field(*_atom_arrays(mu), ball)) < 1e-10
+
+
+def test_barycenter_far_out_past_a_spurious_minimum():
+    # the push-forward's barycenter lies near cosh r = 1.6e3; damped Newton
+    # in ball coordinates stalls at |x| = 0.833 with |V| = 0.257 there
+    rng = np.random.default_rng(2245467697)
+    w = rng.dirichlet(np.full(3, 2.0))
+    v = rng.standard_normal((3, 2))
+    pts = [IdealPoint(x / np.linalg.norm(x)) for x in v]
+    g = random_isometry(rng, 2, max_translation=0.584255976966889)
+    mu = BoundaryMeasure(tuple(zip(pts, w)))
+    direct = conformal_barycenter(push_forward(g, mu))
+    moved = act_point(g, conformal_barycenter(mu))
+    assert direct.coords[-1] > 1e3
+    scale = np.max(np.abs(moved.coords))
+    assert np.max(np.abs(direct.coords - moved.coords)) < 1e-8 * scale
 
 
 def test_barycenter_rejects_dominant_atom():
@@ -228,7 +244,7 @@ def _random_ball_point(rng, n, radius):
 
 
 def test_gamma_field_closed_form_matches_isometry_action():
-    from hyprig.boundary import _gamma_field
+    from hyprig.boundary import _atom_arrays, _gamma_field
     rng = np.random.default_rng(23)
     for n in (2, 3, 4):
         for _ in range(100):
@@ -236,23 +252,25 @@ def test_gamma_field_closed_form_matches_isometry_action():
             pts = [random_ideal(rng, n) for _ in range(k)]
             mu = BoundaryMeasure(tuple(zip(pts, rng.dirichlet(np.ones(k)))))
             x = _random_ball_point(rng, n, 0.95)
-            gap = _gamma_field(mu, x) - _gamma_field_by_isometry(mu, x)
+            gap = (_gamma_field(*_atom_arrays(mu), x)
+                   - _gamma_field_by_isometry(mu, x))
             assert np.max(np.abs(gap)) < 1e-13
 
 
 def test_gamma_jacobian_matches_central_differences():
-    from hyprig.boundary import _gamma_field, _gamma_jacobian
+    from hyprig.boundary import _atom_arrays, _gamma_field, _gamma_jacobian
     rng = np.random.default_rng(29)
     h = 1e-6
     for n in (2, 3, 4):
         for _ in range(30):
             pts = [random_ideal(rng, n) for _ in range(5)]
             mu = BoundaryMeasure(tuple(zip(pts, rng.dirichlet(np.ones(5)))))
+            X, w = _atom_arrays(mu)
             x = _random_ball_point(rng, n, 0.8)
             fd = np.column_stack([
-                (_gamma_field(mu, x + h * e) - _gamma_field(mu, x - h * e))
+                (_gamma_field(X, w, x + h * e) - _gamma_field(X, w, x - h * e))
                 / (2 * h) for e in np.eye(n)])
-            jac = _gamma_jacobian(mu, x)
+            jac = _gamma_jacobian(X, w, x)
             assert np.max(np.abs(jac - fd)) < 1e-6 * max(1.0, np.abs(jac).max())
 
 

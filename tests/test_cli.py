@@ -8,7 +8,10 @@ from hyprig.boundary import BoundaryMeasure
 from hyprig.cli import run
 from hyprig.hypcore import IdealPoint, mink, random_isometry
 from hyprig.regref import reference_regular
-from hyprig.volcocycle import V3, v_n
+from hyprig.volcocycle import V3
+
+# frozen from two independent integrators agreeing to 1e-10
+V4_ORACLE = 0.2688956601
 
 
 def run_json(capsys, argv):
@@ -34,15 +37,16 @@ def test_vol_regular_tetrahedron(tmp_path, capsys):
     assert out["method"] == "lobachevsky3"
 
 
-def test_vol_regular_4_simplex_by_quadrature(tmp_path, capsys):
+def test_vol_regular_4_simplex_closed_form(tmp_path, capsys):
     ref = reference_regular(4, 1)
     f = tmp_path / "s.json"
     f.write_text(json.dumps([v.coords.tolist() for v in ref.base.vertices]))
     code, out = run_json(capsys, ["vol", "--n", "4", "--simplex", str(f)])
     assert code == 0
-    assert out["method"] == "quadrature"
+    assert out["method"] == "schlafli4"
     assert 0.0 < out["abs_error"] <= 1e-6
-    assert abs(abs(out["value"]) - v_n(4)) <= out["abs_error"]
+    # V4_ORACLE carries 10 digits
+    assert abs(abs(out["value"]) - V4_ORACLE) <= out["abs_error"] + 1e-10
 
 
 def test_threads_flag_is_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,22 @@ def test_model_round_trips():
                 for b in ("klein", "poincare", "halfspace"):
                     z = convert(y, a, b)
                     assert np.max(np.abs(convert(z, b, a) - y)) < 1e-10
+
+
+def test_convert_accepts_what_space_point_accepts_far_out():
+    # the form of (sinh r u, cosh r) cancels to about cosh(r)^2 eps
+    rng = np.random.default_rng(59)
+    for r in (10.0, 12.0, 15.0):
+        u = rng.standard_normal((200, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        for h in np.hstack([math.sinh(r) * u, np.full((200, 1), math.cosh(r))]):
+            SpacePoint(h)
+            ball = convert(h, "hyperboloid", "poincare")
+            assert np.linalg.norm(ball) < 1.0
+            assert np.allclose(convert(ball, "poincare", "hyperboloid"), h,
+                               rtol=1e-6, atol=0.0)
+    with pytest.raises(OutOfModel):
+        convert(np.array([0.0, 0.0, 1.0 + 1e-9]), "hyperboloid", "poincare")
 
 
 def test_model_known_values():

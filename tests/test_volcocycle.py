@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyprig.errors import (
     DegenerateSimplex,
@@ -15,6 +17,7 @@ from hyprig.regref import reference_regular
 from hyprig.volcocycle import (
     V2,
     V3,
+    V4,
     is_regular,
     lobachevsky,
     orientation_sign,
@@ -24,6 +27,7 @@ from hyprig.volcocycle import (
     vol,
     vol2,
     vol3,
+    vol4_batch,
     vol_defect,
     voln,
 )
@@ -325,4 +329,158 @@ def test_vol_dispatch():
     pts3 = [random_ideal(rng, 3) for _ in range(4)]
     assert vol(pts3).method == "lobachevsky3"
     pts4 = [random_ideal(rng, 4) for _ in range(5)]
-    assert vol(pts4, tol=1e-5).method == "quadrature"
+    assert vol(pts4, tol=1e-5).method == "schlafli4"
+    with pytest.raises(UnsupportedDimension):
+        vol([random_ideal(rng, 5) for _ in range(6)])
+    for n in (1, 5):
+        with pytest.raises(UnsupportedDimension):
+            v_n(n)
+
+
+# -- the closed form for n = 4 ----------------------------------------------
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def near_flat_4simplex(rng, delta):
+    """Five points on a 2-sphere of S^3 (a flat simplex), the last moved
+    off it by delta along the sphere's axis."""
+    u = unit_rows(rng.standard_normal(4))
+    W = rng.standard_normal((5, 4))
+    W = unit_rows(W - np.outer(W @ u, u))
+    c = rng.uniform(-0.8, 0.8)
+    P = c * u + math.sqrt(1.0 - c * c) * W
+    P[4] = unit_rows(P[4] + delta * u)
+    return P
+
+
+def near_coincident_4simplex(rng, gap):
+    P = unit_rows(rng.standard_normal((5, 4)))
+    t = rng.standard_normal(4)
+    P[4] = unit_rows(P[0] + gap * unit_rows(t - (t @ P[0]) * P[0]))
+    return P
+
+
+def vol4_mpmath(P):
+    """(pi/3)(4 pi - sum theta_ij) through D -> G = D^-1 -> theta at 50
+    digits, the float64 vertices taken as exact."""
+    with mpmath.workdps(50):
+        X = [[mpmath.mpf(float(x)) for x in row] for row in P]
+        D = mpmath.matrix(5, 5)
+        for i in range(5):
+            for j in range(5):
+                D[i, j] = -sum((X[i][k] - X[j][k]) ** 2 for k in range(4)) / 2
+        G = D ** -1
+        total = sum(mpmath.acos(-G[i, j] / mpmath.sqrt(G[i, i] * G[j, j]))
+                    for i, j in itertools.combinations(range(5), 2))
+        return (mpmath.pi / 3) * (4 * mpmath.pi - total)
+
+
+def test_vol4_regular_value():
+    assert abs(V4 - V4_ORACLE) < 1e-10
+    assert v_n(4) == V4
+    ref = np.array([p.coords for p in reference_regular(4, 1).base.vertices])
+    value, err = vol4_batch(ref[None])
+    assert abs(value[0] - V4_ORACLE) <= err[0] + 1e-10
+    assert 0.0 < err[0] < 1e-10
+    # odd permutations flip the sign
+    value_swapped, _ = vol4_batch(ref[[1, 0, 2, 3, 4]][None])
+    assert value_swapped[0] == -value[0]
+
+
+def test_vol4_matches_quadrature():
+    # about 4 in 10 random simplices exhaust the quadrature budget at 1e-8;
+    # draw until 50 have converged
+    rng = np.random.default_rng(47)
+    compared = 0
+    while compared < 50:
+        P = unit_rows(rng.standard_normal((5, 4)))
+        try:
+            q = voln([IdealPoint(x) for x in P], tol=1e-8)
+        except QuadratureBudgetExceeded:
+            continue
+        value, err = vol4_batch(P[None])
+        assert abs(value[0] - q.value) <= err[0] + q.abs_error
+        compared += 1
+
+
+def test_vol4_error_bound_against_mpmath():
+    rng = np.random.default_rng(53)
+    batch = list(unit_rows(rng.standard_normal((300, 5, 4))))
+    for k in range(3, 9):
+        batch += [near_flat_4simplex(rng, 10.0 ** -k) for _ in range(25)]
+    for k in range(6, 12):
+        batch += [near_coincident_4simplex(rng, 10.0 ** -k) for _ in range(25)]
+    batch = np.array(batch)
+    values, errs = vol4_batch(batch)
+    signs = orientation_signs(batch)
+    assert np.all(values * signs >= 0.0)
+    assert np.all(values[signs == 0] == 0.0) and np.all(errs[signs == 0] == 0.0)
+    checked = 0
+    for P, value, err in zip(batch[signs != 0], values[signs != 0],
+                             errs[signs != 0]):
+        exact = vol4_mpmath(P)
+        assert abs(abs(value) - float(abs(exact))) <= err
+        checked += 1
+    assert checked >= 500
+
+
+def test_vol4_goes_to_zero_as_simplices_flatten():
+    rng = np.random.default_rng(59)
+    offsets = np.array([10.0 ** -k for k in range(1, 9)] + [0.0])
+    for _ in range(10):
+        seed = rng.integers(2**31)
+        P = np.array([near_flat_4simplex(np.random.default_rng(seed), d)
+                      for d in offsets])
+        values, _ = vol4_batch(P)
+        signs = orientation_signs(P)
+        assert values[-1] == 0.0 and signs[-1] == 0
+        assert np.all(np.sign(values) == signs)
+        # linear in the offset down to the degeneracy cut, to first order
+        live = signs != 0
+        slopes = np.abs(values[live]) / offsets[live]
+        small = offsets[live] <= 1e-4
+        assert np.allclose(slopes[small], slopes[-1], rtol=1e-4, atol=0.0)
+        assert np.all(np.diff(np.abs(values)) <= 0.0)
+
+
+def _points(draw_rows):
+    rows = np.array(draw_rows, dtype=float)
+    norms = np.linalg.norm(rows, axis=1)
+    assume(np.all(norms > 0.1))
+    return rows / norms[:, None]
+
+
+_COORD = st.floats(-1.0, 1.0, allow_nan=False)
+_ROW4 = st.lists(_COORD, min_size=4, max_size=4)
+
+
+def _clear_of_the_cut(P):
+    # below the degeneracy cut a simplex counts as flat and its volume is
+    # set to 0; the properties are stated away from that convention
+    return np.all(np.abs(np.linalg.det(
+        np.concatenate([P, np.ones(P.shape[:-1] + (1,))], axis=-1))) > 1e-7)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(_ROW4, min_size=6, max_size=6))
+def test_vol4_cocycle_identity_property(rows):
+    X = _points(rows)
+    faces = np.array([np.delete(X, j, axis=0) for j in range(6)])
+    assume(_clear_of_the_cut(faces))
+    values, errs = vol4_batch(faces)
+    defect = sum((-1) ** j * v for j, v in enumerate(values))
+    assert abs(defect) <= errs.sum()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(_ROW4, min_size=5, max_size=5),
+       st.integers(0, 2**31 - 1))
+def test_vol4_equivariance_property(rows, seed):
+    X = _points(rows)
+    g = random_isometry(np.random.default_rng(seed), 4, max_translation=1.5)
+    moved = np.array([act_ideal(g, IdealPoint(x)).coords for x in X])
+    assume(_clear_of_the_cut(np.array([X, moved])))
+    values, errs = vol4_batch(np.array([X, moved]))
+    assert abs(values[1] - g.sign * values[0]) <= errs.sum()
