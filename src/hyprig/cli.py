@@ -3,10 +3,11 @@
 One verb per computation: volumes and constants, cocycle checks,
 straightening, barycenters, reflection orbits, preset inspection, the
 smearing estimator and the rigidity pipeline.  Outputs are JSON with the
-parsed configuration echoed; estimate sweeps can additionally be written
-as CSV.  Exit codes: 0 success, 1 domain error (JSON on stderr), 2 usage
-error, including an input file that cannot be read or parsed and an
-output file that cannot be written (checked before any work).
+parsed configuration and the hyprig and NumPy versions echoed; estimate
+sweeps can additionally be written as CSV.  Exit codes: 0 success, 1
+domain error (JSON on stderr), 2 usage error, including an input file
+that cannot be read or parsed and an output file that cannot be written
+(checked before any work).
 Stochastic commands refuse to run without an explicit --seed.
 """
 
@@ -20,6 +21,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .boundary import (
     conformal_barycenter,
     make_boundary_map,
@@ -81,6 +83,7 @@ def _ideal_points(rows, n, count):
 def _emit(payload, args):
     payload["config"] = {k: v for k, v in vars(args).items()
                          if k != "func" and v is not None}
+    payload["versions"] = {"hyprig": __version__, "numpy": np.__version__}
     text = json.dumps(payload, indent=1)
     print(text)
     if getattr(args, "out", None):
@@ -208,7 +211,8 @@ def _run_ratio(args):
 
 
 def _diagnostics(est):
-    return {"ess_frac": est.ess_frac, "max_weight": est.max_weight}
+    return {"ess_frac": est.ess_frac, "max_weight": est.max_weight,
+            "T": est.T}
 
 
 def cmd_smear(args):

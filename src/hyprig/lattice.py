@@ -257,7 +257,7 @@ def default_truncation(preset: LatticePreset) -> float:
 
 
 def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
-                stream: int = None) -> HaarBatch:
+                stream=None) -> HaarBatch:
     """Draw N weighted samples of the invariant measure on the quotient.
 
     Each sample is g = (transvection to a base point) o (frame rotation):
@@ -267,10 +267,18 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
     the density ratio, so weighted averages estimate integrals against
     the invariant probability measure up to the truncation bias.
 
-    All N samples are drawn at once, in this order: the cells, the
-    barycentric coordinates on the cell bases, the height quantiles and
-    the Gaussian frames.  Identical (seed, stream) pairs give identical
-    batches; distinct streams spawned from one seed are independent.
+    ``(seed, stream)`` names one random stream: ``stream=None`` is the
+    root ``SeedSequence(seed)``, an integer k is its child k (the one
+    ``SeedSequence(seed).spawn()`` gives k-th).  A stream's N samples
+    are drawn at once, in this order: the cells, the barycentric
+    coordinates on the cell bases, the height quantiles and the Gaussian
+    frames.  Identical (seed, stream) pairs give identical batches;
+    distinct streams spawned from one seed are independent.
+
+    ``stream`` may also be a sequence of stream ids.  Each id's N
+    samples are drawn as above and stacked stream-major into one batch
+    of len(stream) * N rows, equal bit for bit to concatenating the
+    single-stream batches; the geometry then runs once on all rows.
     """
     n = preset.n
     if T is None:
@@ -279,11 +287,6 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
         raise BadTruncation(
             f"T = {T} is not above the cusp floor {preset.cusp_floor}")
 
-    # stream k is child k of SeedSequence(seed).spawn(), made directly
-    ss = np.random.SeedSequence(seed, spawn_key=() if stream is None
-                                else (stream,))
-    rng = np.random.default_rng(ss)
-
     d = n - 1
     ch = preset.charts
     trunc_vols = ch.volume - ch.area / (d * T ** d)
@@ -291,10 +294,18 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
         raise BadTruncation("truncation leaves an empty cell")
     p_cell = trunc_vols / trunc_vols.sum()
 
-    cells = rng.choice(len(p_cell), size=N, p=p_cell)
-    lam = rng.dirichlet(np.ones(d + 1), size=N)
-    u = rng.uniform(size=N)
-    gauss = rng.standard_normal((N, n, n))
+    streams = [stream] if stream is None or np.ndim(stream) == 0 else stream
+    draws = []
+    for k in streams:
+        # stream k is child k of SeedSequence(seed).spawn(), made directly
+        rng = np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=() if k is None else (k,)))
+        draws.append((rng.choice(len(p_cell), size=N, p=p_cell),
+                      rng.dirichlet(np.ones(d + 1), size=N),
+                      rng.uniform(size=N),
+                      rng.standard_normal((N, n, n))))
+    cells, lam, u, gauss = (np.concatenate(a) for a in zip(*draws))
+    N = len(cells)
 
     # base point: uniform foot x on the cell base, height t in [h, T]
     # with density proportional to t^{-n}, h the floor sphere above x

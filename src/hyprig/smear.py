@@ -21,7 +21,7 @@ from .boundary import evaluate_many
 from .errors import IllConditioned
 # act_ideal is not called here; hyprig_bench's tracer patches
 # smear.act_ideal by name, so the name stays importable from this module.
-from .hypcore import IdealPoint, act_ideal, act_ideal_many  # noqa: F401
+from .hypcore import act_ideal, act_ideal_many  # noqa: F401
 from .lattice import (
     LatticePreset,
     default_truncation,
@@ -38,7 +38,9 @@ SIGMA_FLOOR = 1e-12
 class McEstimate:
     """A Monte-Carlo estimate with its error split, and the importance
     weight diagnostics: the effective sample size over the sample count,
-    (sum w)^2 / (N sum w^2), and the largest weight."""
+    (sum w)^2 / (N sum w^2), and the largest weight.  T is the cusp
+    truncation height the samples were drawn under; bias_bound is the
+    truncation bias at that height."""
 
     value: float
     std_error: float
@@ -47,6 +49,7 @@ class McEstimate:
     seed: object
     ess_frac: float = 1.0
     max_weight: float = 1.0
+    T: float = None
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,40 @@ class RatioEstimate(McEstimate):
     per_simplex: tuple = ()
 
 
+# rows of Haar samples one fused pass of volume_ratio holds: its m test
+# simplices are smeared in groups of max(1, SAMPLE_BLOCK // n_samples)
+SAMPLE_BLOCK = 4096
+
+
+def _smear_block(preset, phi, simplices, n_samples, seed, T, stream):
+    """The weighted smearing values of a block of simplices (k, n+1, n),
+    simplex i on the n_samples Haar samples of stream[i] (or, for k = 1,
+    of the one stream ``stream``), as (k, N) values and (k, N) weights.
+
+    The k streams are drawn in one sample_haar call, and every sample's
+    matrix acts on its simplex through one act_ideal_many."""
+    k, n = simplices.shape[0], simplices.shape[-1]
+    batch = sample_haar(preset, seed, n_samples, T=T, stream=stream)
+    M = batch.matrices.reshape(k, n_samples, n + 1, n + 1)
+    moved = act_ideal_many(M, simplices[:, None])  # (k, N, n+1, n)
+    images = evaluate_many(phi, moved.reshape(-1, n))
+    vols = vol_batch(images.reshape(-1, n + 1, n)).reshape(k, n_samples)
+    w = batch.weights.reshape(k, n_samples)
+    return w * batch.signs.reshape(k, n_samples) * vols, w
+
+
+def _row_stats(vals, w):
+    """Per row of (k, N) values and weights: the mean, its standard
+    error, the weights' effective sample fraction and largest weight."""
+    N = vals.shape[1]
+    value = vals.mean(axis=1)
+    std_error = (vals.std(axis=1, ddof=1) / np.sqrt(N) if N > 1
+                 else np.zeros(len(vals)))
+    ww = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]  # row-wise w @ w
+    ess = w.sum(axis=1) ** 2 / (N * ww)
+    return value, std_error, ess, np.max(w, axis=1, initial=0.0)
+
+
 def smear_integral(preset: LatticePreset, phi, xi, n_samples: int, seed,
                    T: float = None, stream: int = None) -> McEstimate:
     """Weighted Monte-Carlo estimate of the smearing integral at xi.
@@ -66,21 +103,15 @@ def smear_integral(preset: LatticePreset, phi, xi, n_samples: int, seed,
     Each sample g contributes w eps(g) Vol_n(phi(g xi_0), ..., phi(g xi_n));
     eps(g^{-1}) = eps(g)."""
     verts = np.array([v.coords for v in getattr(xi, "vertices", xi)])
-    n = verts.shape[1]
     if T is None:
         T = default_truncation(preset)
-    batch = sample_haar(preset, seed, n_samples, T=T, stream=stream)
-    moved = act_ideal_many(batch.matrices, verts)  # (N, n+1, n)
-    images = evaluate_many(phi, moved.reshape(-1, n)).reshape(moved.shape)
-    w = batch.weights
-    vals = w * batch.signs * vol_batch(images)
-    value = float(vals.mean())
-    std_error = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return McEstimate(value=value, std_error=std_error,
+    value, std_error, ess, max_w = _row_stats(*_smear_block(
+        preset, phi, verts[None], n_samples, seed, T, stream))
+    return McEstimate(value=float(value[0]), std_error=float(std_error[0]),
                       bias_bound=truncation_error_bound(preset, T),
                       n_samples=n_samples, seed=seed,
-                      ess_frac=float(w.sum() ** 2 / (len(w) * (w @ w))),
-                      max_weight=float(np.max(w, initial=0.0)))
+                      ess_frac=float(ess[0]), max_weight=float(max_w[0]),
+                      T=float(T))
 
 
 def _random_test_simplices(rng, n: int, m: int, max_tries: int = 2000):
@@ -112,10 +143,14 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
     """Estimate lambda = Vol(rho)/Vol(M) by ratio-averaging.
 
     Each of m test simplices gives an independent estimate
-    smear_integral(xi)/Vol_n(xi); these are combined inverse-variance
-    weighted, and the consistency flag records whether they pairwise
-    agree within 3 sigma (the proportionality of the smeared cochain to
-    the volume cocycle).
+    smear_integral(xi)/Vol_n(xi), simplex i on stream i of the seed;
+    these are combined inverse-variance weighted, and the consistency
+    flag records whether they pairwise agree within 3 sigma (the
+    proportionality of the smeared cochain to the volume cocycle).
+
+    The simplices are smeared in groups of max(1, SAMPLE_BLOCK //
+    n_samples), each group's streams in one array pass; the result is
+    bit for bit that of m separate smear_integral calls.
     """
     if n_samples < 2:
         raise ValueError("volume_ratio needs n_samples >= 2 per simplex for "
@@ -125,33 +160,30 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
         T = default_truncation(preset)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     simplices, denoms = _random_test_simplices(rng, n, m)
-    per, ests = [], []
-    for i, (pts, denom) in enumerate(zip(simplices, denoms)):
-        est = smear_integral(preset, phi, [IdealPoint(p) for p in pts],
-                             n_samples, seed, T=T, stream=i)
-        lam = est.value / denom
-        sig = max(est.std_error / abs(denom), SIGMA_FLOOR)
-        bias = est.bias_bound / abs(denom)
-        per.append((lam, sig, bias))
-        ests.append(est)
+    # each group's statistics are taken before the next group is drawn,
+    # so the samples of one group at a time are held, never all m streams
+    group = max(1, SAMPLE_BLOCK // n_samples)
+    stats = [_row_stats(*_smear_block(preset, phi, simplices[i:i + group],
+                                      n_samples, seed, T,
+                                      range(i, min(i + group, m))))
+             for i in range(0, m, group)]
+    value, std_error, ess, max_w = (np.concatenate(a) for a in zip(*stats))
 
-    lams = np.array([p[0] for p in per])
-    sigs = np.array([p[1] for p in per])
+    scale = np.abs(denoms)
+    lams = value / denoms
+    sigs = np.maximum(std_error / scale, SIGMA_FLOOR)
+    biases = truncation_error_bound(preset, T) / scale
     wts = 1.0 / sigs**2
-    value = float(np.sum(wts * lams) / np.sum(wts))
-    std_error = float(np.sum(wts) ** -0.5)
-    bias = float(max(p[2] for p in per))
-    consistent = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            gap = 3.0 * np.hypot(sigs[i], sigs[j]) + per[i][2] + per[j][2]
-            if abs(lams[i] - lams[j]) > gap + 1e-12:
-                consistent = False
-    return RatioEstimate(value=value, std_error=std_error, bias_bound=bias,
-                         n_samples=n_samples * m, seed=seed,
-                         ess_frac=min(e.ess_frac for e in ests),
-                         max_weight=max(e.max_weight for e in ests),
-                         consistent=consistent, per_simplex=tuple(per))
+    # pairwise agreement within 3 sigma plus both truncation biases
+    gap = 3.0 * np.hypot(sigs[:, None], sigs) + biases[:, None] + biases
+    clash = np.abs(lams[:, None] - lams) > gap + 1e-12
+    return RatioEstimate(
+        value=float(np.sum(wts * lams) / np.sum(wts)),
+        std_error=float(np.sum(wts) ** -0.5), bias_bound=float(biases.max()),
+        n_samples=n_samples * m, seed=seed, ess_frac=float(ess.min()),
+        max_weight=float(max_w.max()), T=float(T),
+        consistent=not np.any(np.triu(clash, 1)),
+        per_simplex=tuple(zip(lams.tolist(), sigs.tolist(), biases.tolist())))
 
 
 def milnor_wood_check(est: McEstimate) -> dict:
@@ -173,4 +205,5 @@ def vol_of_rep(preset: LatticePreset, phi, n_samples: int, seed,
     return McEstimate(value=lam.value * c, std_error=lam.std_error * c,
                       bias_bound=lam.bias_bound * c,
                       n_samples=lam.n_samples, seed=seed,
-                      ess_frac=lam.ess_frac, max_weight=lam.max_weight)
+                      ess_frac=lam.ess_frac, max_weight=lam.max_weight,
+                      T=lam.T)

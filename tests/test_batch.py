@@ -1,9 +1,12 @@
 """The array paths against independent or scalar references: the batched
-smearing integral against the per-sample formula, the boundary maps
+smearing integral against the per-sample formula, the fused
+volume_ratio against per-simplex smear_integral calls, the boundary maps
 against point-by-point reference loops, vol3_batch against quadrature,
 the exactness of vol2_batch, vol_batch against vol at n = 4, and the
-reproducibility, half-space lift and diagnostics of the Haar sampler."""
+reproducibility, stream stacking, half-space lift and diagnostics of the
+Haar sampler."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +17,9 @@ from hyprig.errors import DimensionMismatch
 from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many,
                             halfspace_to_hyperboloid, random_isometry)
 from hyprig.lattice import default_truncation, load_preset, sample_haar
-from hyprig.smear import smear_integral, volume_ratio
+from hyprig.smear import (SAMPLE_BLOCK, SIGMA_FLOOR, RatioEstimate,
+                          _random_test_simplices, smear_integral,
+                          volume_ratio)
 from hyprig.volcocycle import (orientation_sign, vol, vol2_batch, vol3_batch,
                                vol_batch, voln)
 
@@ -32,14 +37,14 @@ def unit_rows(rng, shape):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def make_map(kind, n, rng):
+def make_map(kind, n, rng, table_size=500):
     g = random_isometry(rng, n, 1.0)
     if kind == "planted_isometry":
         return make_boundary_map(kind, g=g)
     if kind == "perturbed":
         return make_boundary_map(kind, g=g, amplitude=0.1, seed=3)
     if kind == "tabulated":
-        pts = [IdealPoint(p) for p in unit_rows(rng, (500, n))]
+        pts = [IdealPoint(p) for p in unit_rows(rng, (table_size, n))]
         return make_boundary_map(kind, points=pts,
                                  images=[act_ideal(g, p) for p in pts],
                                  radius=2.0)
@@ -65,6 +70,62 @@ def test_smear_integral_matches_per_sample_formula(presets, name, kind):
     assert abs(est.std_error - np.std(vals, ddof=1) / np.sqrt(N)) <= 1e-12
     if kind == "constant":
         assert est.value == 0.0
+
+
+def reference_volume_ratio(p, phi, n_samples, seed, m):
+    """volume_ratio as m separate smear_integral calls, one per test
+    simplex on its own stream, combined by explicit loops."""
+    T = default_truncation(p)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    simplices, denoms = _random_test_simplices(rng, p.n, m)
+    per, ests = [], []
+    for i, (pts, denom) in enumerate(zip(simplices, denoms)):
+        est = smear_integral(p, phi, [IdealPoint(x) for x in pts],
+                             n_samples, seed, T=T, stream=i)
+        per.append((est.value / denom,
+                    max(est.std_error / abs(denom), SIGMA_FLOOR),
+                    est.bias_bound / abs(denom)))
+        ests.append(est)
+    lams, sigs, biases = (np.array(c) for c in zip(*per))
+    wts = 1.0 / sigs**2
+    consistent = True
+    for i in range(m):
+        for j in range(i + 1, m):
+            gap = 3.0 * np.hypot(sigs[i], sigs[j]) + biases[i] + biases[j]
+            if abs(lams[i] - lams[j]) > gap + 1e-12:
+                consistent = False
+    return RatioEstimate(
+        value=float(np.sum(wts * lams) / np.sum(wts)),
+        std_error=float(np.sum(wts) ** -0.5), bias_bound=float(max(biases)),
+        n_samples=n_samples * m, seed=seed,
+        ess_frac=min(e.ess_frac for e in ests),
+        max_weight=max(e.max_weight for e in ests), T=T,
+        consistent=consistent, per_simplex=tuple(per))
+
+
+def bits(x):
+    """x with every float replaced by its exact hex form."""
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return float(x).hex() if isinstance(x, float) else x
+
+
+# all 8 streams in one group; 3 streams per group, which does not divide
+# m = 8; one stream per group
+@pytest.mark.parametrize("n_samples", (32, SAMPLE_BLOCK // 3 - 1,
+                                       SAMPLE_BLOCK))
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_volume_ratio_matches_per_simplex_loop_bit_for_bit(
+        presets, name, kind, n_samples):
+    p = presets[name]
+    # a small table keeps the tabulated lookups of 2 x 8 x 4096 samples quick
+    phi = make_map(kind, p.n, np.random.default_rng(KINDS.index(kind) + 40),
+                   table_size=40)
+    seed = 11 + n_samples
+    got = volume_ratio(p, phi, n_samples, seed, m=8)
+    want = reference_volume_ratio(p, phi, n_samples, seed, 8)
+    assert bits(dataclasses.astuple(got)) == bits(dataclasses.astuple(want))
 
 
 def reference_map(phi, X):
@@ -241,6 +302,24 @@ def test_sample_haar_bit_reproducible(presets, name):
     for i in range(len(draws)):
         for j in range(i + 1, len(draws)):
             assert not np.array_equal(draws[i], draws[j])
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_sample_haar_stream_sequence_stacks_single_streams(presets, name):
+    p = presets[name]
+    fields = ("matrices", "signs", "weights", "cells")
+    streams = (4, 0, 9)
+    stacked = sample_haar(p, 42, 50, stream=list(streams))
+    single = [sample_haar(p, 42, 50, stream=k) for k in streams]
+    assert len(stacked) == 150
+    for f in fields:
+        assert np.array_equal(getattr(stacked, f),
+                              np.concatenate([getattr(b, f) for b in single]))
+    for stream in (None, 3):
+        a = sample_haar(p, 42, 50, stream=stream)
+        b = sample_haar(p, 42, 50, stream=[stream])
+        assert all(np.array_equal(getattr(a, f), getattr(b, f))
+                   for f in fields)
 
 
 def test_halfspace_lift_matches_sample_haar_closed_form():

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import hyprig
 from hyprig.boundary import make_boundary_map, map_to_json, measure_to_json
 from hyprig.boundary import BoundaryMeasure
 from hyprig.cli import run
 from hyprig.hypcore import IdealPoint, mink, random_isometry
+from hyprig.lattice import default_truncation, load_preset
 from hyprig.regref import reference_regular
 from hyprig.volcocycle import V3
 
@@ -345,6 +347,29 @@ def test_config_echo_holds_only_parsed_flags(capsys):
         assert code == 0
         assert "stochastic_if" not in out["config"]
         assert out["config"]["n"] == 2
+
+
+@pytest.mark.parametrize("command", ["smear", "vol-of-rep"])
+def test_estimates_report_their_truncation_height(capsys, command):
+    base = [command, "--preset", "test_reflection_2d", "--map",
+            "planted-identity", "--samples", "64", "--seed", "3"]
+    code, out = run_json(capsys, base)
+    assert code == 0
+    assert out["diagnostics"]["T"] == default_truncation(
+        load_preset("test_reflection_2d"))
+    code, out = run_json(capsys, base + ["--truncation", "250"])
+    assert code == 0
+    assert out["diagnostics"]["T"] == 250.0
+
+
+def test_every_payload_echoes_the_versions(capsys):
+    for argv in (["vn", "--n", "3"], ["preset", "list"],
+                 ["smear", "--preset", "test_reflection_2d", "--map",
+                  "planted-identity", "--samples", "16", "--seed", "1"]):
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert out["versions"] == {"hyprig": hyprig.__version__,
+                                   "numpy": np.__version__}
 
 
 def test_density_probe_target_of_wrong_dimension_exits_1(tmp_path, capsys):

@@ -28,6 +28,7 @@ from hyprig.volcocycle import (
     vol2,
     vol3,
     vol4_batch,
+    vol_batch,
     vol_defect,
     voln,
 )
@@ -484,3 +485,37 @@ def test_vol4_equivariance_property(rows, seed):
     assume(_clear_of_the_cut(np.array([X, moved])))
     values, errs = vol4_batch(np.array([X, moved]))
     assert abs(values[1] - g.sign * values[0]) <= errs.sum()
+
+
+# n = 2, 3: the exact evaluators, through the batch form the smearing runs
+_ROWS = {n: st.lists(_COORD, min_size=n, max_size=n) for n in (2, 3)}
+# vol2 takes the exact values 0 and +-pi, so its identities hold exactly
+_TOL = {2: 0.0, 3: 1e-12}
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_vol_batch_cocycle_identity_property(n, data):
+    X = _points(data.draw(st.lists(_ROWS[n], min_size=n + 2,
+                                   max_size=n + 2)))
+    faces = np.array([np.delete(X, j, axis=0) for j in range(n + 2)])
+    assume(_clear_of_the_cut(faces))
+    values = vol_batch(faces)
+    defect = sum((-1) ** j * v for j, v in enumerate(values))
+    assert abs(defect) <= _TOL[n]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_vol_batch_equivariance_property(n, data):
+    X = _points(data.draw(st.lists(_ROWS[n], min_size=n + 1,
+                                   max_size=n + 1)))
+    g = random_isometry(np.random.default_rng(data.draw(
+        st.integers(0, 2**31 - 1))), n, max_translation=1.5,
+        orientation=data.draw(st.sampled_from((1, -1))))
+    moved = np.array([act_ideal(g, IdealPoint(x)).coords for x in X])
+    assume(_clear_of_the_cut(np.array([X, moved])))
+    values = vol_batch(np.array([X, moved]))
+    assert abs(values[1] - g.sign * values[0]) <= _TOL[n]
