@@ -150,12 +150,6 @@ class Hyperplane:
         return len(self.normal) - 1
 
 
-def _lorentz_defect(M: np.ndarray) -> float:
-    n = len(M) - 1
-    J = minkowski_matrix(n)
-    return float(np.max(np.abs(M.T @ J @ M - J)))
-
-
 def _gram_schmidt_j(M: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt of the columns against the Minkowski form."""
     n = len(M) - 1
@@ -182,15 +176,28 @@ def make_isometry(matrix) -> Isometry:
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 3:
         raise NotLorentz(f"bad shape {M.shape}")
-    defect = _lorentz_defect(M)
-    if defect > REPAIR_TOL:
-        raise NotLorentz(f"form defect {defect:.3e} exceeds {REPAIR_TOL}")
-    if defect > 1e-14:
-        M = _gram_schmidt_j(M)
-    if M[-1, -1] <= 0:
-        raise TimeReversing("matrix reverses the time orientation")
-    sign = 1 if np.linalg.det(M) > 0 else -1
-    return Isometry(M, sign)
+    M, signs = _lorentz_stack(M[None])
+    return Isometry(M[0], int(signs[0]))
+
+
+def _lorentz_stack(M: np.ndarray):
+    """:func:`make_isometry` on a stack M (k, n+1, n+1): the matrices, each
+    repaired if its drift exceeds 1e-14, and their orientation signs (k,).
+    The matrices are checked in stack order, each exactly as
+    make_isometry checks one, and the first failure raises."""
+    J = minkowski_matrix(M.shape[-1] - 1)
+    defect = np.max(np.abs(np.swapaxes(M, -1, -2) @ J @ M - J), axis=(-2, -1))
+    suspect = np.flatnonzero((defect > 1e-14) | (M[:, -1, -1] <= 0))
+    if len(suspect):
+        M = M.copy()
+    for i in suspect:
+        if defect[i] > REPAIR_TOL:
+            raise NotLorentz(f"form defect {defect[i]:.3e} exceeds {REPAIR_TOL}")
+        if defect[i] > 1e-14:
+            M[i] = _gram_schmidt_j(M[i])
+        if M[i, -1, -1] <= 0:
+            raise TimeReversing("matrix reverses the time orientation")
+    return M, np.where(np.linalg.det(M) > 0, 1, -1)
 
 
 def identity_isometry(n: int) -> Isometry:
@@ -421,9 +428,15 @@ def basepoint(n: int) -> SpacePoint:
 
 def point_symmetry(p: SpacePoint) -> Isometry:
     """The geodesic symmetry at a point: -Id on the tangent space."""
-    n = p.n
-    M = -np.eye(n + 1) - 2.0 * np.outer(p.coords, p.coords) @ minkowski_matrix(n)
-    return Isometry(M, 1 if n % 2 == 0 else -1)
+    return Isometry(_symmetries(p.coords), 1 if p.n % 2 == 0 else -1)
+
+
+def _symmetries(P) -> np.ndarray:
+    """Matrices of the geodesic symmetries at the hyperboloid points P
+    (..., n+1): -Id - 2 p p^T J."""
+    n = P.shape[-1] - 1
+    return (-np.eye(n + 1) - 2.0 * (P[..., :, None] * P[..., None, :])
+            @ minkowski_matrix(n))
 
 
 def transvection(p: SpacePoint, q: SpacePoint) -> Isometry:
@@ -441,24 +454,21 @@ def translation_to(x: SpacePoint) -> Isometry:
     return transvection(basepoint(x.n), x)
 
 
-def rotation_isometry(R) -> Isometry:
-    """Embed an orthogonal matrix of R^n as an isometry fixing the
-    basepoint."""
-    R = np.asarray(R, dtype=float)
-    n = len(R)
-    M = np.eye(n + 1)
-    M[:n, :n] = R
-    return make_isometry(M)
-
-
 def random_rotation(rng, n: int, orientation=None) -> np.ndarray:
     """Haar-uniform element of O(n) (or of the requested SO/reversing
     component) from an orthonormal-frame completion of Gaussian vectors."""
-    A = rng.standard_normal((n, n))
+    return _frames(rng.standard_normal((n, n)), orientation)
+
+
+def _frames(A, orientation=None) -> np.ndarray:
+    """The orthonormal frames of Gaussian blocks A (..., n, n): the QR
+    factor Q with the signs of R's diagonal moved into it, its first
+    column negated where det Q is not the requested orientation."""
     Q, R = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(R))
-    if orientation is not None and np.sign(np.linalg.det(Q)) != orientation:
-        Q[:, 0] = -Q[:, 0]
+    Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
+    if orientation is not None:
+        flip = np.sign(np.linalg.det(Q)) != orientation
+        Q[..., :, 0] *= np.where(flip, -1.0, 1.0)[..., None]
     return Q
 
 
@@ -466,12 +476,39 @@ def random_isometry(rng, n: int, max_translation: float = 1.0,
                     orientation=None) -> Isometry:
     """A random isometry from a compact window: uniform frame rotation
     composed with a transvection of length <= max_translation."""
-    R = random_rotation(rng, n, orientation=orientation)
-    d = rng.uniform(0.0, max_translation)
-    u = rng.standard_normal(n)
-    u = u / np.linalg.norm(u)
-    target = SpacePoint(np.append(np.sinh(d) * u, np.cosh(d)))
-    return translation_to(target) @ rotation_isometry(R)
+    M, signs = random_isometries(rng, n, 1, max_translation, orientation)
+    return Isometry(M[0], int(signs[0]))
+
+
+def random_isometries(rng, n: int, k: int, max_translation: float = 1.0,
+                      orientation=None):
+    """k draws of :func:`random_isometry` as matrices (k, n+1, n+1) and
+    orientation signs (k,).
+
+    The generator is read draw by draw, as k calls read it: the Gaussian
+    block of the frame, the translation length, the Gaussian direction.
+    The frames, the transvections and their products are then formed on
+    the whole stack."""
+    A = np.empty((k, n, n))
+    d = np.empty(k)
+    u = np.empty((k, n))
+    for i in range(k):
+        A[i] = rng.standard_normal((n, n))
+        d[i] = rng.uniform(0.0, max_translation)
+        v = rng.standard_normal(n)
+        u[i] = v / np.linalg.norm(v)
+    rot = np.zeros((k, n + 1, n + 1))
+    rot[:, :n, :n] = _frames(A, orientation)
+    rot[:, n, n] = 1.0
+    rot, signs = _lorentz_stack(rot)
+    # The transvection carrying the basepoint o to q is the product of the
+    # symmetries at the midpoint of o and q and at o.
+    o = basepoint(n).coords
+    s = o + np.concatenate([np.sinh(d)[:, None] * u, np.cosh(d)[:, None]],
+                           axis=1)
+    form = (s[:, None, :-1] @ s[:, :-1, None])[:, 0, 0] - s[:, -1] * s[:, -1]
+    mid = s / np.sqrt(-form)[:, None]
+    return _symmetries(mid) @ _symmetries(o) @ rot, signs
 
 
 def isometry_from_sl2(m, n: int) -> Isometry:

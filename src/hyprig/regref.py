@@ -5,12 +5,16 @@ n-simplex inscribed in the boundary sphere, first vertex at e_1.  The
 group generated by reflections in its faces tiles H^3 and is dense in the
 isometry group for n >= 4.  `reflection_walk` enumerates reflection words
 breadth first as products of the root's face reflections (the reflection
-in face i of g.s is g r_i g^-1); `orbit` and `rigidity.reconstruct_isometry`
-walk it, and `density_probe` measures how well they approximate a target.
+in face i of g.s is g r_i g^-1).  `orbit` and `rigidity.reconstruct_isometry`
+walk it; `reference_walk` caches the walk of the reference simplex, which
+`rigidity.consensus` moves onto each seed g.ref, since the walk of g.ref
+is g applied to it letter for letter.  `density_probe` measures how well
+the words approximate a target.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +110,20 @@ def reflection_walk(s: RegularSimplex, reflections, depth: int):
         if length % REORTH_EVERY == 0:
             G = np.array([make_isometry(g).matrix for g in G])
         yield letters, G, act_ideal_many(G, X)
+
+
+@functools.cache
+def reference_walk(n: int, depth: int):
+    """`reflection_walk` of reference_regular(n, 1) to the given depth, as
+    a tuple of (letters (K, L), vertices (K, n+1, n)) per word length L,
+    read-only; computed on the first call for each (n, depth)."""
+    ref = reference_regular(n, 1)
+    levels = tuple((letters, V) for letters, _, V
+                   in reflection_walk(ref, face_reflections(ref), depth))
+    for level in levels:
+        for a in level:
+            a.setflags(write=False)
+    return levels
 
 
 def _grid_key(coords):

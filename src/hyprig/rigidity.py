@@ -3,11 +3,14 @@
 A boundary map that sends regular ideal simplices to regular ideal
 simplices is the boundary action of a single isometry; these routines
 make that effective.  `isometry_from_simplex_pair` solves for the unique
-isometry matching two regular simplices vertex by vertex,
+isometry matching two regular simplices vertex by vertex, and
 `reconstruct_isometry` certifies the candidate on `regref.reflection_walk`
-of the seed simplex, `consensus` cross-checks reconstructions from
-independent seeds, and `verify_conjugacy` confirms the resulting
-conjugation of lattice generators.
+of the seed simplex.  `consensus` reconstructs from m random seeds g.ref
+in one pass: the walk of g.ref is g applied to the cached walk of the
+reference simplex (`regref.reference_walk`), so each word length of all
+m walks is mapped and checked in one batch, and the m reconstructions
+must agree.  `verify_conjugacy` confirms the resulting conjugation of
+lattice generators.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from .errors import (
     DegenerateSimplex,
     GeneratorCountMismatch,
+    HyprigError,
     ImageNotRegular,
     NoConsensus,
     NoExactSolve,
@@ -29,13 +33,16 @@ from .errors import (
     TimeReversing,
 )
 from .boundary import evaluate_many
-from .hypcore import (Isometry, act_ideal, act_ideal_many, make_isometry,
-                      minkowski_matrix, null_lifts, random_isometry)
+# act_ideal is not called here; hyprig_bench's tracer patches
+# rigidity.act_ideal by name, so the name stays importable from this module.
+from .hypcore import (Isometry, IdealPoint, act_ideal,  # noqa: F401
+                      act_ideal_many, make_isometry, minkowski_matrix,
+                      null_lifts, random_isometries)
 from .lattice import LatticePreset
 from .regref import (RegularSimplex, face_reflections, reference_regular,
-                     reflection_walk)
-from .volcocycle import (IdealSimplex, is_regular, orientation_sign,
-                         orientation_signs, regular_mask)
+                     reference_walk, reflection_walk)
+from .volcocycle import (IdealSimplex, is_regular, orientation_signs,
+                         regular_mask)
 
 REGULARITY_TOL = 1e-9
 IMAGE_TOL = 1e-6
@@ -66,15 +73,14 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     Each trial takes g random in the compact WINDOW, applies phi to the
     vertices of g times the reference simplex, and checks regularity of
     the image at tol; among passing trials the image orientation is
-    compared with the source orientation.  The isometries are drawn in
-    trial order; all trials are then mapped and tested as one batch.
+    compared with the source orientation.  The isometries are drawn as
+    one stack; all trials are then mapped and tested as one batch.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     ref = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
-    G = np.array([random_isometry(rng, n, max_translation=WINDOW).matrix
-                  for _ in range(trials)])
+    G, _ = random_isometries(rng, n, trials, max_translation=WINDOW)
     src = act_ideal_many(G, ref)
     img = evaluate_many(phi, src.reshape(-1, n)).reshape(src.shape)
     ok = regular_mask(img, tol)
@@ -140,60 +146,144 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    src_verts = list(seed_simplex.base.vertices)
-    img_verts = [phi(v) for v in src_verts]
+    walk = ((letters, V[None]) for letters, _, V in reflection_walk(
+        seed_simplex, face_reflections(seed_simplex), depth))
+    (h,), worst = _reconstruct(phi, [seed_simplex], walk, tol, image_tol)
+    return ReconstructionResult(h=h, max_orbit_mismatch=float(worst[0]),
+                                depth=depth)
+
+
+def _reconstruct(phi, seeds, walk, tol, image_tol):
+    """`reconstruct_isometry` on m seed simplices at once: their
+    candidates and largest orbit mismatches (m,).
+
+    walk yields, per word length, the letters (K, L) and the vertices
+    (m, K, n+1, n) of every seed's reflection walk.  The seed images are
+    taken one point at a time and solved seed by seed; each walk level
+    of all seeds is mapped by one `evaluate_many` call and checked in
+    one batch.  The error raised is the one that reconstructing the
+    seeds one after the other would raise first: a seed is checked up to
+    its first failure, and the seeds after a failing one are dropped.
+    """
+    alive, error = len(seeds), None  # the seeds before alive pass so far
+
+    def fail(i, exc):
+        nonlocal alive, error
+        alive, error = i, exc
+
+    images = []
+    for i, s in enumerate(seeds):
+        try:
+            images.append([phi(v) for v in s.base.vertices])
+        except HyprigError as exc:
+            fail(i, exc)
+            break
+    if not alive:
+        raise error
+    Y = np.array([[v.coords for v in img] for img in images])
+    irregular = ~regular_mask(Y, image_tol)
+    img_or = orientation_signs(Y)
+    hs = []
+    for i in range(alive):
+        try:
+            if irregular[i]:
+                _check_seed_image(images[i], image_tol)
+            target = RegularSimplex(IdealSimplex(tuple(images[i])),
+                                    int(img_or[i]))
+            hs.append(isometry_from_simplex_pair(
+                seeds[i], target,
+                regularity_tol=max(REGULARITY_TOL, image_tol)))
+        except HyprigError as exc:
+            fail(i, exc)
+            break
+    H = np.array([h.matrix for h in hs])
+    worst = np.zeros(alive)
+    for letters, V in walk:
+        if not alive:
+            break
+        img = _walk_images(phi, V[:alive], fail)
+        V = V[:alive]
+        added = slice(None), np.arange(len(letters)), letters[:, -1]
+        gaps = np.max(np.abs(act_ideal_many(H[:alive], V[added])
+                             - img[added]), axis=-1)
+        misoriented = (orientation_signs(img.reshape(-1, *img.shape[2:]))
+                       .reshape(gaps.shape)
+                       != (-1) ** letters.shape[1] * img_or[:alive, None])
+        bad = (gaps > tol) | misoriented
+        failing = np.flatnonzero(bad.any(axis=1))
+        if len(failing):
+            i = failing[0]
+            gap = float(gaps[i, np.argmax(bad[i])])
+            fail(i, OrbitMismatch(
+                f"orbit vertex deviates by {gap:.3e} > {tol:.3e}"
+                if gap > tol else "image orientation fails to alternate",
+                mismatch=gap))
+        worst[:alive] = np.maximum(worst[:alive], np.max(gaps[:alive], axis=1))
+    if error is not None:
+        raise error
+    return hs, worst
+
+
+def _check_seed_image(img_verts, image_tol):
+    """The regularity gate on one seed image, with the error of its test."""
     try:
         if not is_regular(img_verts, image_tol):
             raise ImageNotRegular("image of the seed simplex is not regular")
     except DegenerateSimplex as exc:
         raise ImageNotRegular(str(exc)) from exc
-    img_or = orientation_sign(img_verts)
-    target = RegularSimplex(IdealSimplex(tuple(img_verts)), img_or)
-    h = isometry_from_simplex_pair(seed_simplex, target,
-                                   regularity_tol=max(REGULARITY_TOL, image_tol))
 
-    worst = 0.0
-    for letters, _, V in reflection_walk(seed_simplex,
-                                         face_reflections(seed_simplex), depth):
-        img = evaluate_many(phi, V.reshape(-1, V.shape[2])).reshape(V.shape)
-        added = np.arange(len(V)), letters[:, -1]
-        gaps = np.max(np.abs(act_ideal_many(h.matrix, V[added]) - img[added]),
-                      axis=1)
-        misoriented = orientation_signs(img) != (-1) ** letters.shape[1] * img_or
-        bad = np.flatnonzero((gaps > tol) | misoriented)
-        if len(bad):
-            gap = float(gaps[bad[0]])
-            if gap > tol:
-                raise OrbitMismatch(
-                    f"orbit vertex deviates by {gap:.3e} > {tol:.3e}",
-                    mismatch=gap)
-            raise OrbitMismatch("image orientation fails to alternate",
-                                mismatch=gap)
-        worst = max(worst, float(np.max(gaps)))
-    return ReconstructionResult(h=h, max_orbit_mismatch=worst, depth=depth)
+
+def _walk_images(phi, V, fail):
+    """phi on one walk level V (a, K, n+1, n) of a seeds, in one batch.
+    If that raises, the seeds are mapped one by one up to the first that
+    raises, which `fail` records, and the images before it are returned."""
+    try:
+        return evaluate_many(phi, V.reshape(-1, V.shape[-1])).reshape(V.shape)
+    except HyprigError:
+        pass
+    out = []
+    for i, Vi in enumerate(V):
+        try:
+            out.append(evaluate_many(phi, Vi.reshape(-1, V.shape[-1]))
+                       .reshape(Vi.shape))
+        except HyprigError as exc:
+            fail(i, exc)
+            break
+    return np.array(out).reshape(-1, *V.shape[1:])
 
 
 def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
               seed=0) -> Isometry:
-    """Reconstruction from m independent seed simplices, required to
-    agree within tol in max-abs matrix norm.  Errors from any single
-    reconstruction propagate; nothing is skipped."""
+    """Reconstruction from m random seed simplices g.ref, required to
+    agree within tol in max-abs matrix norm.
+
+    The m isometries g are drawn as one stack, each seed's walk is g
+    applied to the cached reference walk, and all seeds are
+    reconstructed in one pass.  The error raised is the first that
+    reconstructing the seeds one after the other would raise; nothing is
+    skipped."""
     if m < 2:
         raise ValueError("consensus needs at least 2 seeds")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     rng = np.random.default_rng(seed)
-    ref = reference_regular(n, 1)
-    results = []
-    for _ in range(m):
-        g = random_isometry(rng, n, max_translation=WINDOW)
-        verts = tuple(act_ideal(g, v) for v in ref.base.vertices)
-        seed_s = RegularSimplex(IdealSimplex(verts), orientation_sign(verts))
-        results.append(reconstruct_isometry(phi, seed_s, depth))
-    mats = [r.h.matrix for r in results]
-    for other in mats[1:]:
-        if np.max(np.abs(other - mats[0])) > tol:
-            raise NoConsensus("reconstructions disagree",
-                              candidates=[r.h for r in results])
-    return results[0].h
+    G, _ = random_isometries(rng, n, m, max_translation=WINDOW)
+    ref = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
+    # act_ideal's own arithmetic on the stack, so that the seed vertices
+    # are bit for bit act_ideal(g, v)
+    Y = (G[:, None] @ null_lifts(ref)[None, :, :, None])[..., 0]
+    X = Y[..., :-1] / Y[..., -1:]
+    X = X / np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0]
+    seeds = [RegularSimplex(IdealSimplex(tuple(IdealPoint(x) for x in Xi)),
+                            int(sign))
+             for Xi, sign in zip(X, orientation_signs(X))]
+    walk = ((letters, act_ideal_many(G[:, None], V))
+            for letters, V in reference_walk(n, depth))
+    hs, _ = _reconstruct(phi, seeds, walk, ORBIT_TOL, IMAGE_TOL)
+    for h in hs[1:]:
+        if np.max(np.abs(h.matrix - hs[0].matrix)) > tol:
+            raise NoConsensus("reconstructions disagree", candidates=hs)
+    return hs[0]
 
 
 def verify_conjugacy(h: Isometry, preset: LatticePreset, rho_images) -> float:

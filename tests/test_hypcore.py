@@ -13,7 +13,10 @@ from hyprig.errors import (
     TooManyPoints,
 )
 from hyprig.hypcore import (
+    Isometry,
     IdealPoint,
+    _gram_schmidt_j,
+    _lorentz_stack,
     SpacePoint,
     act_ideal,
     act_point,
@@ -29,6 +32,7 @@ from hyprig.hypcore import (
     mink,
     minkowski_matrix,
     point_symmetry,
+    random_isometries,
     random_isometry,
     reflect_in,
     straighten,
@@ -78,6 +82,81 @@ def test_make_isometry_rejects():
     bad = np.eye(4) + 1e-6
     with pytest.raises(NotLorentz):
         make_isometry(bad)
+
+
+def _make_isometry_by_formula(M):
+    """make_isometry on one matrix, as a reference for the stacked checks."""
+    J = minkowski_matrix(len(M) - 1)
+    defect = float(np.max(np.abs(M.T @ J @ M - J)))
+    if defect > 1e-8:
+        raise NotLorentz(f"form defect {defect:.3e} exceeds 1e-08")
+    if defect > 1e-14:
+        M = _gram_schmidt_j(M)
+    if M[-1, -1] <= 0:
+        raise TimeReversing("matrix reverses the time orientation")
+    return Isometry(M, 1 if np.linalg.det(M) > 0 else -1)
+
+
+def _random_isometry_by_formula(rng, n, max_translation=1.0,
+                                orientation=None):
+    """random_isometry one draw at a time, from the frame rotation and the
+    transvection objects: the reference for the batched draws."""
+    A = rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(A)
+    Q = Q * np.sign(np.diag(R))
+    if orientation is not None and np.sign(np.linalg.det(Q)) != orientation:
+        Q[:, 0] = -Q[:, 0]
+    d = rng.uniform(0.0, max_translation)
+    u = rng.standard_normal(n)
+    u = u / np.linalg.norm(u)
+    target = SpacePoint(np.append(np.sinh(d) * u, np.cosh(d)))
+    M = np.eye(n + 1)
+    M[:n, :n] = Q
+    return translation_to(target) @ _make_isometry_by_formula(M)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("orientation", [None, 1, -1])
+def test_random_isometries_match_per_draw_formula_bit_for_bit(n, orientation):
+    for seed in range(6):
+        for window in (1.0, 2.5):
+            batched, single, looped = (np.random.default_rng(seed)
+                                       for _ in range(3))
+            M, signs = random_isometries(batched, n, 9, window, orientation)
+            ref = [_random_isometry_by_formula(looped, n, window, orientation)
+                   for _ in range(9)]
+            one = [random_isometry(single, n, window, orientation)
+                   for _ in range(9)]
+            assert np.array_equal(M, np.array([g.matrix for g in ref]))
+            assert np.array_equal(M, np.array([g.matrix for g in one]))
+            assert signs.tolist() == [g.sign for g in ref] == [g.sign for g in one]
+            if orientation is not None:
+                assert set(signs.tolist()) == {orientation}
+            # the generators are left in the same state
+            assert batched.random() == looped.random() == single.random()
+
+
+def test_lorentz_stack_repairs_and_raises_like_make_isometry():
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4):
+        M, _ = random_isometries(rng, n, 12, 1.5)
+        # rows 1, 4, ... drift and take the Gram-Schmidt repair; the rest
+        # pass unchanged
+        M[1::3] += rng.standard_normal(M[1::3].shape) * 1e-10
+        out, signs = _lorentz_stack(M)
+        for row, got, sign in zip(M, out, signs):
+            ref = _make_isometry_by_formula(row)
+            assert np.array_equal(got, ref.matrix) and sign == ref.sign
+        assert np.array_equal(out[0], M[0]) and not np.array_equal(out[1], M[1])
+        # the first failing row in stack order raises its own error
+        bad = M.copy()
+        bad[5] = minkowski_matrix(n)
+        bad[7] = np.eye(n + 1) * 1.1
+        with pytest.raises(TimeReversing):
+            _lorentz_stack(bad)
+        bad[3] = np.eye(n + 1) + 1e-6
+        with pytest.raises(NotLorentz, match="form defect"):
+            _lorentz_stack(bad)
 
 
 def test_sign_is_multiplicative():

@@ -1,9 +1,15 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyprig.errors import BudgetExceeded
 from hyprig.hypcore import (
     act_ideal,
+    act_ideal_many,
     identity_isometry,
     minkowski_matrix,
     random_isometry,
@@ -16,6 +22,7 @@ from hyprig.regref import (
     face_reflections,
     orbit,
     reference_regular,
+    reference_walk,
     reflection_walk,
 )
 from hyprig.volcocycle import IdealSimplex, is_regular, orientation_sign
@@ -182,6 +189,41 @@ def test_reflection_walk_matches_per_simplex_bfs():
                           for _, _, c in level])
             assert np.max(np.abs(G - M)) < 1e-9
             assert np.max(np.abs(V - X)) < 1e-9
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 4), depth=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([1, -1]))
+def test_reference_walk_moved_by_g_is_the_walk_of_g_ref(n, depth, seed, eps):
+    # the face reflections of g.ref are g r_i g^-1, so the walk of g.ref
+    # is g applied to the reference walk, letter for letter
+    g = random_isometry(np.random.default_rng(seed), n, 1.0, orientation=eps)
+    verts = tuple(act_ideal(g, v) for v in reference_regular(n, 1).base.vertices)
+    s = RegularSimplex(IdealSimplex(verts), orientation_sign(verts))
+    own = list(reflection_walk(s, face_reflections(s), depth))
+    cached = reference_walk(n, depth)
+    assert len(cached) == len(own) == depth
+    for (letters, V), (own_letters, _, own_V) in zip(cached, own):
+        assert np.array_equal(letters, own_letters)
+        assert np.max(np.abs(act_ideal_many(g.matrix, V) - own_V)) < 1e-12
+
+
+def test_reference_walk_is_cached_read_only_and_filled_on_first_call():
+    levels = reference_walk(3, 2)
+    assert reference_walk(3, 2) is levels
+    with pytest.raises(ValueError):
+        levels[0][1][0, 0, 0] = 0.0
+    ref = reference_regular(3, 1)
+    for (letters, V), (own_letters, _, own_V) in zip(
+            levels, reflection_walk(ref, face_reflections(ref), 2)):
+        assert np.array_equal(letters, own_letters)
+        assert np.array_equal(V, own_V)
+    # importing the package leaves the cache empty
+    code = ("import hyprig.cli, hyprig.regref as r; "
+            "print(r.reference_walk.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_orbit_deep_words_stay_lorentz():

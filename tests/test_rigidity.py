@@ -5,10 +5,12 @@ from hyprig.boundary import BoundaryMap, make_boundary_map
 from hyprig.errors import (
     DegenerateSimplex,
     GeneratorCountMismatch,
+    HyprigError,
     ImageNotRegular,
     NoConsensus,
     NoExactSolve,
     OrbitMismatch,
+    OutOfTable,
 )
 from hyprig.hypcore import (
     IdealPoint,
@@ -17,7 +19,7 @@ from hyprig.hypcore import (
     random_isometry,
 )
 from hyprig.lattice import load_preset
-from hyprig.regref import RegularSimplex, reference_regular
+from hyprig.regref import RegularSimplex, orbit, reference_regular
 from hyprig.rigidity import (
     consensus,
     isometry_from_simplex_pair,
@@ -240,20 +242,6 @@ def test_consensus_planted():
     assert np.max(np.abs(h.matrix - g.matrix)) < 1e-8
 
 
-def test_consensus_piecewise_map_disagrees():
-    rng = np.random.default_rng(19)
-    g1 = identity_isometry(3)
-    g2 = random_isometry(rng, 3, 1.5)
-
-    def ev(xi):
-        g = g1 if xi.coords[2] >= 0 else g2
-        return act_ideal(g, xi)
-
-    phi = BoundaryMap("piecewise", {}, ev)
-    with pytest.raises((NoConsensus, ImageNotRegular, OrbitMismatch)):
-        consensus(phi, 3, m=8, depth=2, seed=23)
-
-
 def test_verify_conjugacy():
     rng = np.random.default_rng(23)
     p = load_preset("figure_eight_3d")
@@ -276,3 +264,159 @@ def test_end_to_end_rigidity_rehearsal():
     rho = [g @ gen @ g.inverse() for gen in p.generators]
     assert verify_conjugacy(h, p, rho) <= 1e-7
     assert np.max(np.abs(h.matrix - g.matrix)) < 1e-8
+
+
+def _consensus_by_loop(phi, n, m, depth, tol=1e-7, seed=0):
+    """consensus one seed at a time, each certified on its own reflection
+    walk: the reference for the one-pass consensus."""
+    rng = np.random.default_rng(seed)
+    ref = reference_regular(n, 1)
+    results = []
+    for _ in range(m):
+        g = random_isometry(rng, n, max_translation=1.0)
+        verts = tuple(act_ideal(g, v) for v in ref.base.vertices)
+        seed_s = RegularSimplex(IdealSimplex(verts), orientation_sign(verts))
+        results.append(reconstruct_isometry(phi, seed_s, depth))
+    mats = [r.h.matrix for r in results]
+    for other in mats[1:]:
+        if np.max(np.abs(other - mats[0])) > tol:
+            raise NoConsensus("reconstructions disagree",
+                              candidates=[r.h for r in results])
+    return results[0].h
+
+
+def _outcome(f, *args, **kwargs):
+    """The returned matrix and sign, or the error's type, message,
+    mismatch and candidate matrices."""
+    try:
+        h = f(*args, **kwargs)
+    except HyprigError as exc:
+        return (type(exc), str(exc), getattr(exc, "mismatch", None),
+                [c.matrix.tobytes() for c in getattr(exc, "candidates", [])])
+    return h.matrix.tobytes(), h.sign
+
+
+def _assert_same_outcome(phi, n, m, depth, seed, tol=1e-7):
+    """consensus gives the loop's h bit for bit, or the loop's error.  An
+    OrbitMismatch's mismatch is a difference taken on the walk vertices,
+    which the one-pass walk reaches as g applied to the reference walk
+    rather than through the seed's own reflections; the two walks agree
+    within 1e-12 (see test_regref), and so do the mismatches."""
+    got = _outcome(consensus, phi, n, m=m, depth=depth, tol=tol, seed=seed)
+    expect = _outcome(_consensus_by_loop, phi, n, m, depth, tol, seed)
+    if len(expect) == 4 and expect[2] is not None:
+        assert got[2] == pytest.approx(expect[2], rel=0, abs=1e-12)
+        got = got[:2] + expect[2:3] + got[3:]
+    assert got == expect
+    return expect
+
+
+def _piecewise_map():
+    rng = np.random.default_rng(19)
+    g1 = identity_isometry(3)
+    g2 = random_isometry(rng, 3, 1.5)
+
+    def ev(xi):
+        g = g1 if xi.coords[2] >= 0 else g2
+        return act_ideal(g, xi)
+
+    return BoundaryMap("piecewise", {}, ev)
+
+
+def test_consensus_piecewise_map_disagrees():
+    expect = _assert_same_outcome(_piecewise_map(), 3, 8, 2, seed=23)
+    assert expect[0] in (NoConsensus, ImageNotRegular, OrbitMismatch)
+
+
+def test_consensus_matches_seed_loop_on_planted_maps():
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 4):
+        for eps in (1, -1):
+            g = random_isometry(rng, n, 1.0, orientation=eps)
+            for seed, (m, depth) in enumerate(((2, 0), (5, 3), (8, 4))):
+                h, sign = _assert_same_outcome(planted(g), n, m, depth, seed)
+                assert sign == eps
+    # a tolerance no two reconstructions meet: the same candidates
+    expect = _assert_same_outcome(planted(g), 4, 4, 2, seed=3, tol=0.0)
+    assert expect[0] is NoConsensus and len(expect[3]) == 4
+
+
+def test_consensus_matches_seed_loop_on_benchmark_panel():
+    # the 20 planted maps of hyprig_bench's reconstruct_fig8 panel, drawn
+    # as workloads.ReconstructFig8.item draws them
+    for j in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence([0, j]))
+        eps = 1 if j % 2 == 0 else -1
+        g = random_isometry(rng, 3, max_translation=1.0, orientation=eps)
+        rng.integers(2**31)
+        seed = int(rng.integers(2**31))
+        h, sign = _assert_same_outcome(planted(g), 3, 8, 4, seed)
+        assert sign == eps
+
+
+def test_consensus_matches_seed_loop_on_failing_maps():
+    rng = np.random.default_rng(13)
+    g = random_isometry(rng, 3, 1.0)
+    maps = [(make_boundary_map("perturbed", g=g, amplitude=1e-3, seed=6),
+             ImageNotRegular),
+            (make_boundary_map("perturbed", g=g, amplitude=2e-6, seed=6),
+             (ImageNotRegular, NoExactSolve)),
+            (make_boundary_map("perturbed", g=g, amplitude=1e-8, seed=6),
+             (NoExactSolve, OrbitMismatch)),
+            (make_boundary_map("constant", point=IdealPoint(np.eye(3)[0])),
+             ImageNotRegular),
+            (_piecewise_map(), (NoConsensus, ImageNotRegular, OrbitMismatch))]
+    for phi, types in maps:
+        for seed in range(4):
+            expect = _assert_same_outcome(phi, 3, 6, 3, seed)
+            assert issubclass(expect[0], types)
+
+
+def _seed_tables(g, depths, seed, corrupt):
+    """A tabulated map carrying consensus's seeds (m = len(depths), drawn
+    from seed) to their images under g, on each seed's orbit to its depth
+    (None: no table).  corrupt maps (seed index, orbit point index) to a
+    displacement of that point's image; index -1 is the last point, one
+    the walk reaches only at the full depth."""
+    rng = np.random.default_rng(seed)
+    points, images = [], []
+    for i, depth in enumerate(depths):
+        s = moved_regular(random_isometry(rng, 3, max_translation=1.0))
+        if depth is None:
+            continue
+        pts = orbit(s, depth)[1]
+        for k, p in enumerate(pts):
+            img = act_ideal(g, IdealPoint(p)).coords + corrupt.get(
+                (i, k), corrupt.get((i, k - len(pts)), 0.0))
+            points.append(IdealPoint(p))
+            images.append(IdealPoint(img / np.linalg.norm(img)))
+    return make_boundary_map("tabulated", points=points, images=images,
+                             radius=1e-6)
+
+
+def test_consensus_raises_the_first_failing_seeds_error():
+    rng = np.random.default_rng(47)
+    g = random_isometry(rng, 3, 1.0)
+    nudge = 1e-5 * np.array([0.3, -0.7, 0.2])
+    # seed 1 fails in its walk, seed 2 already at its seed image: the
+    # walk error of the earlier seed wins
+    phi = _seed_tables(g, (3, 3, 3, 3), 5, {(1, 9): nudge, (2, 0): 1e2 * nudge})
+    expect = _assert_same_outcome(phi, 3, 4, 3, seed=5)
+    assert expect[0] is OrbitMismatch and expect[2] > 1e-8
+    # seed 2 has no table at all, seed 1 fails at depth 1
+    phi = _seed_tables(g, (3, 3, None, 3), 5, {(1, 5): nudge})
+    assert _assert_same_outcome(phi, 3, 4, 3, seed=5)[0] is OrbitMismatch
+    # seed 0 runs off its table at depth 3, after seed 1 failed at depth 1:
+    # the one-pass walk maps the level seed by seed to find the culprit
+    phi = _seed_tables(g, (2, 3, 3, 3), 5, {(1, 5): nudge})
+    assert _assert_same_outcome(phi, 3, 4, 3, seed=5)[0] is OutOfTable
+    # seed 1 runs off its table at depth 3, where seed 0 fails: the level
+    # that raises as a batch is mapped seed by seed, and seed 0's checks
+    # go on
+    phi = _seed_tables(g, (3, 2, 3, 3), 5, {(0, -1): nudge})
+    expect = _assert_same_outcome(phi, 3, 4, 3, seed=5)
+    assert expect[0] is OrbitMismatch
+    # without the corruptions every seed passes
+    phi = _seed_tables(g, (3, 3, 3, 3), 5, {})
+    h, _ = _assert_same_outcome(phi, 3, 4, 3, seed=5)
+    assert np.max(np.abs(np.frombuffer(h).reshape(4, 4) - g.matrix)) < 1e-8
