@@ -15,6 +15,7 @@ half-space model sends the pole (0, ..., 0, 1) to infinity; its charts are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,10 @@ def null_lifts(X) -> np.ndarray:
     """The fixed-scale null vectors (xi, 1) in R^(n,1) of boundary points,
     the rows of X (..., n), as (..., n+1)."""
     X = np.asarray(X, dtype=float)
-    return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+    lifts = np.empty(X.shape[:-1] + (X.shape[-1] + 1,))
+    lifts[..., :-1] = X
+    lifts[..., -1] = 1.0
+    return lifts
 
 
 def mink(x, y) -> float:
@@ -94,7 +98,8 @@ class IdealPoint:
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
         object.__setattr__(self, "coords", c)
-        if abs(np.linalg.norm(c) - 1.0) > POINT_TOL:
+        # the norm as np.linalg.norm forms it, without its call overhead
+        if abs(math.sqrt(c.dot(c)) - 1.0) > POINT_TOL:
             raise OutOfModel(f"not a unit vector: |xi| = {np.linalg.norm(c)}")
 
     @property
@@ -218,9 +223,11 @@ def act_ideal(g: Isometry, xi: IdealPoint) -> IdealPoint:
     """Apply an isometry to a boundary point (action on null rays)."""
     if g.n != xi.n:
         raise DimensionMismatch(f"isometry of H^{g.n} on point of S^{xi.n - 1}")
-    y = g.matrix @ xi.null_lift()
+    # the arithmetic of g.matrix @ lift and np.linalg.norm(v), without
+    # their call overhead
+    y = g.matrix.dot(xi.null_lift())
     v = y[:-1] / y[-1]
-    return IdealPoint(v / np.linalg.norm(v))
+    return IdealPoint(v / math.sqrt(v.dot(v)))
 
 
 def act_ideal_many(M, X) -> np.ndarray:
@@ -488,7 +495,9 @@ def random_isometries(rng, n: int, k: int, max_translation: float = 1.0,
     The generator is read draw by draw, as k calls read it: the Gaussian
     block of the frame, the translation length, the Gaussian direction.
     The frames, the transvections and their products are then formed on
-    the whole stack."""
+    the whole stack.  A translation too long for the floating-point
+    transvection, one that leaves a matrix entry infinite or NaN, raises
+    OutOfModel."""
     A = np.empty((k, n, n))
     d = np.empty(k)
     u = np.empty((k, n))
@@ -504,11 +513,18 @@ def random_isometries(rng, n: int, k: int, max_translation: float = 1.0,
     # The transvection carrying the basepoint o to q is the product of the
     # symmetries at the midpoint of o and q and at o.
     o = basepoint(n).coords
-    s = o + np.concatenate([np.sinh(d)[:, None] * u, np.cosh(d)[:, None]],
-                           axis=1)
-    form = (s[:, None, :-1] @ s[:, :-1, None])[:, 0, 0] - s[:, -1] * s[:, -1]
-    mid = s / np.sqrt(-form)[:, None]
-    return _symmetries(mid) @ _symmetries(o) @ rot, signs
+    with np.errstate(all="ignore"):
+        s = o + np.concatenate([np.sinh(d)[:, None] * u,
+                                np.cosh(d)[:, None]], axis=1)
+        form = ((s[:, None, :-1] @ s[:, :-1, None])[:, 0, 0]
+                - s[:, -1] * s[:, -1])
+        mid = s / np.sqrt(-form)[:, None]
+        M = _symmetries(mid) @ _symmetries(o) @ rot
+    finite = np.isfinite(M).all(axis=(1, 2))
+    if not finite.all():
+        raise OutOfModel(f"translation length {d[np.argmin(finite)]:.6g} "
+                         "overflows the hyperboloid coordinates")
+    return M, signs
 
 
 def isometry_from_sl2(m, n: int) -> Isometry:

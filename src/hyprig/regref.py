@@ -6,10 +6,11 @@ group generated by reflections in its faces tiles H^3 and is dense in the
 isometry group for n >= 4.  `reflection_walk` enumerates reflection words
 breadth first as products of the root's face reflections (the reflection
 in face i of g.s is g r_i g^-1).  `orbit` and `rigidity.reconstruct_isometry`
-walk it; `reference_walk` caches the walk of the reference simplex, which
-`rigidity.consensus` moves onto each seed g.ref, since the walk of g.ref
-is g applied to it letter for letter.  `density_probe` measures how well
-the words approximate a target.
+walk it; `reference_vertices` caches the vertices of the reference
+simplex and `reference_walk` its walk, which `rigidity.consensus` moves
+onto each seed g.ref, since the walk of g.ref is g applied to it letter
+for letter.  `density_probe` measures how well the words approximate a
+target.
 """
 
 from __future__ import annotations
@@ -110,6 +111,15 @@ def reflection_walk(s: RegularSimplex, reflections, depth: int):
         if length % REORTH_EVERY == 0:
             G = np.array([make_isometry(g).matrix for g in G])
         yield letters, G, act_ideal_many(G, X)
+
+
+@functools.cache
+def reference_vertices(n: int) -> np.ndarray:
+    """The vertices (n+1, n) of reference_regular(n, 1), read-only;
+    computed on the first call for each n."""
+    X = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
+    X.setflags(write=False)
+    return X
 
 
 @functools.cache

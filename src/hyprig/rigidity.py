@@ -3,18 +3,21 @@
 A boundary map that sends regular ideal simplices to regular ideal
 simplices is the boundary action of a single isometry; these routines
 make that effective.  `isometry_from_simplex_pair` solves for the unique
-isometry matching two regular simplices vertex by vertex, and
-`reconstruct_isometry` certifies the candidate on `regref.reflection_walk`
-of the seed simplex.  `consensus` reconstructs from m random seeds g.ref
-in one pass: the walk of g.ref is g applied to the cached walk of the
-reference simplex (`regref.reference_walk`), so each word length of all
-m walks is mapped and checked in one batch, and the m reconstructions
-must agree.  `verify_conjugacy` confirms the resulting conjugation of
-lattice generators.
+isometry matching two regular simplices vertex by vertex; it is the
+one-pair case of a stacked solve that takes m pairs through each step
+at once.  `reconstruct_isometry` certifies the candidate on
+`regref.reflection_walk` of the seed simplex.  `consensus` reconstructs
+from m random seeds g.ref in one pass: all m seed isometries come from
+one stacked solve, the walk of g.ref is g applied to the cached walk of
+the reference simplex (`regref.reference_walk`), so each word length of
+all m walks is mapped and checked in one batch, and the m
+reconstructions must agree.  `verify_conjugacy` confirms the resulting
+conjugation of lattice generators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -35,14 +38,13 @@ from .errors import (
 from .boundary import evaluate_many
 # act_ideal is not called here; hyprig_bench's tracer patches
 # rigidity.act_ideal by name, so the name stays importable from this module.
-from .hypcore import (Isometry, IdealPoint, act_ideal,  # noqa: F401
-                      act_ideal_many, make_isometry, minkowski_matrix,
-                      null_lifts, random_isometries)
+from .hypcore import (Isometry, IdealPoint, _lorentz_stack,
+                      act_ideal, act_ideal_many,  # noqa: F401
+                      minkowski_matrix, null_lifts, random_isometries)
 from .lattice import LatticePreset
-from .regref import (RegularSimplex, face_reflections, reference_regular,
+from .regref import (RegularSimplex, face_reflections, reference_vertices,
                      reference_walk, reflection_walk)
-from .volcocycle import (IdealSimplex, is_regular, orientation_signs,
-                         regular_mask)
+from .volcocycle import is_regular, orientation_signs, regular_mask
 
 REGULARITY_TOL = 1e-9
 IMAGE_TOL = 1e-6
@@ -55,7 +57,7 @@ WINDOW = 1.0  # largest translation of the isometries placing the simplices
 class PreservationReport:
     trials: int
     pass_fraction: float
-    orientation_mode: str  # same / opposite / mixed
+    orientation_mode: str  # same / opposite / mixed; none if no trial passes
     tol: float
 
 
@@ -79,14 +81,13 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    ref = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
     G, _ = random_isometries(rng, n, trials, max_translation=WINDOW)
-    src = act_ideal_many(G, ref)
+    src = act_ideal_many(G, reference_vertices(n))
     img = evaluate_many(phi, src.reshape(-1, n)).reshape(src.shape)
     ok = regular_mask(img, tol)
     same = orientation_signs(img[ok]) == orientation_signs(src[ok])
     modes = {"same" if s else "opposite" for s in same}
-    mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "same"
+    mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "none"
     return PreservationReport(trials=trials,
                               pass_fraction=int(ok.sum()) / trials,
                               orientation_mode=mode, tol=tol)
@@ -95,41 +96,75 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
 def isometry_from_simplex_pair(source: RegularSimplex,
                                target: RegularSimplex,
                                regularity_tol: float = REGULARITY_TOL) -> Isometry:
-    """The unique isometry carrying source vertices to target vertices.
+    """The unique isometry carrying source vertices to target vertices:
+    `_pair_isometries` on one pair.  A simplex failing the regularity
+    test raises NotRegular (DegenerateSimplex on coincident vertices),
+    and a pair that is not congruent raises NoExactSolve.
+    """
+    M, signs = _pair_isometries(_vertex_array(source)[None],
+                                _vertex_array(target)[None], regularity_tol)
+    return Isometry(M[0], int(signs[0]))
+
+
+def _vertex_array(s: RegularSimplex) -> np.ndarray:
+    return np.array([v.coords for v in s.base.vertices])
+
+
+@functools.cache
+def _scale_fit(k: int):
+    """The vertex pairs (i, j), i < j, of a k-vertex simplex and the rows
+    of the least-squares system log lam_i + log lam_j = rhs_ij over them,
+    read-only; computed on the first call for each k."""
+    i, j = np.array(list(itertools.combinations(range(k), 2))).T
+    rows = np.eye(k)[i] + np.eye(k)[j]
+    for a in (i, j, rows):
+        a.setflags(write=False)
+    return i, j, rows
+
+
+def _pair_isometries(X, Y, regularity_tol):
+    """The isometries carrying source vertices X (m, n+1, n) to target
+    vertices Y, pair by pair: matrices (m, n+1, n+1) and signs (m,).
 
     Null lifts are determined only up to positive scale, so the scales
     are first normalized by a log-least-squares fit making the two Gram
     matrices equal; the linear solve then gives the matrix, which is
-    re-orthogonalized against the form.
+    re-orthogonalized against the form.  Every step takes the whole
+    stack: one regularity test per side, one Gram stack per side, one
+    least-squares call with the m fits as columns, one stacked solve,
+    `_lorentz_stack` and one residual test; each pair's arithmetic is bit
+    for bit that of solving it alone.  A failing pair raises: for m = 1
+    the pair's own error, and for a larger stack some pair's error, not
+    necessarily the first's (see `_seed_isometries`).
     """
-    for s in (source, target):
-        if not is_regular(list(s.base.vertices), regularity_tol):
-            raise NotRegular("input simplex fails the regularity test")
-    S = null_lifts([v.coords for v in source.base.vertices])
-    T = null_lifts([v.coords for v in target.base.vertices])
-    m = len(S)
-    J = minkowski_matrix(m - 1)
-    GS = S @ J @ S.T
-    GT = T @ J @ T.T
+    for P in (X, Y):
+        ok = regular_mask(P, regularity_tol)
+        if not ok.all():
+            verts = [IdealPoint(x) for x in P[np.argmin(ok)]]
+            if not is_regular(verts, regularity_tol):
+                raise NotRegular("input simplex fails the regularity test")
+    S, T = null_lifts(X), null_lifts(Y)
+    J = minkowski_matrix(X.shape[-1])
+    GS = S @ J @ np.swapaxes(S, -1, -2)
+    GT = T @ J @ np.swapaxes(T, -1, -2)
 
     # lam_i lam_j = GS_ij / GT_ij on off-diagonal entries (both Grams are
-    # strictly negative there); solve for log lam in least squares
-    i, j = np.array(list(itertools.combinations(range(m), 2))).T
-    rows = np.eye(m)[i] + np.eye(m)[j]
-    rhs = np.log(GS[i, j] / GT[i, j])
-    lam = np.exp(np.linalg.lstsq(rows, rhs, rcond=None)[0])
-    Tn = lam[:, None] * T
+    # strictly negative there); solve for log lam in least squares, the m
+    # pairs as the columns of one right-hand side
+    i, j, rows = _scale_fit(X.shape[1])
+    rhs = np.log(GS[:, i, j] / GT[:, i, j])
+    lam = np.exp(np.linalg.lstsq(rows, rhs.T, rcond=None)[0]).T
 
-    M = np.linalg.solve(S, Tn).T
+    M = np.swapaxes(np.linalg.solve(S, lam[..., None] * T), -1, -2)
     try:
-        g = make_isometry(M)
+        M, signs = _lorentz_stack(M)
     except (NotLorentz, TimeReversing) as exc:
         raise NoExactSolve(f"simplices are not congruent: {exc}") from exc
-    worst = float(np.max(np.abs(act_ideal_many(g.matrix, S[:, :-1])
-                                - T[:, :-1])))
-    if worst > SOLVE_RESIDUAL_TOL:
-        raise NoExactSolve(f"vertex residual {worst:.3e} after projection")
-    return g
+    worst = np.max(np.abs(act_ideal_many(M, X) - Y), axis=(-2, -1))
+    if np.any(worst > SOLVE_RESIDUAL_TOL):
+        raise NoExactSolve(f"vertex residual {np.max(worst):.3e} "
+                           "after projection")
+    return M, signs
 
 
 def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
@@ -148,55 +183,52 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
         raise ValueError("depth must be >= 0")
     walk = ((letters, V[None]) for letters, _, V in reflection_walk(
         seed_simplex, face_reflections(seed_simplex), depth))
-    (h,), worst = _reconstruct(phi, [seed_simplex], walk, tol, image_tol)
-    return ReconstructionResult(h=h, max_orbit_mismatch=float(worst[0]),
+    H, signs, worst = _reconstruct(phi, _vertex_array(seed_simplex)[None],
+                                   walk, tol, image_tol)
+    return ReconstructionResult(h=Isometry(H[0], int(signs[0])),
+                                max_orbit_mismatch=float(worst[0]),
                                 depth=depth)
 
 
-def _reconstruct(phi, seeds, walk, tol, image_tol):
-    """`reconstruct_isometry` on m seed simplices at once: their
-    candidates and largest orbit mismatches (m,).
+def _reconstruct(phi, X, walk, tol, image_tol):
+    """`reconstruct_isometry` on m seed simplices, the rows of X
+    (m, n+1, n), at once: their candidates as matrices (m, n+1, n+1) and
+    signs (m,), and their largest orbit mismatches (m,).
 
     walk yields, per word length, the letters (K, L) and the vertices
     (m, K, n+1, n) of every seed's reflection walk.  The seed images are
-    taken one point at a time and solved seed by seed; each walk level
-    of all seeds is mapped by one `evaluate_many` call and checked in
-    one batch.  The error raised is the one that reconstructing the
-    seeds one after the other would raise first: a seed is checked up to
-    its first failure, and the seeds after a failing one are dropped.
+    taken one point at a time, and all m candidates come from one stacked
+    `_seed_isometries` solve; each walk level of all seeds is mapped by
+    one `evaluate_many` call and checked in one batch.  The error raised
+    is the one that reconstructing the seeds one after the other would
+    raise first: a seed is checked up to its first failure, and the seeds
+    after a failing one are dropped.
     """
-    alive, error = len(seeds), None  # the seeds before alive pass so far
+    alive, error = len(X), None  # the seeds before alive pass so far
 
     def fail(i, exc):
         nonlocal alive, error
         alive, error = i, exc
 
     images = []
-    for i, s in enumerate(seeds):
+    for i, Xi in enumerate(X):
         try:
-            images.append([phi(v) for v in s.base.vertices])
+            images.append([phi(IdealPoint(x)) for x in Xi])
         except HyprigError as exc:
             fail(i, exc)
             break
     if not alive:
         raise error
     Y = np.array([[v.coords for v in img] for img in images])
-    irregular = ~regular_mask(Y, image_tol)
-    img_or = orientation_signs(Y)
-    hs = []
-    for i in range(alive):
+    for i in np.flatnonzero(~regular_mask(Y, image_tol)):
         try:
-            if irregular[i]:
-                _check_seed_image(images[i], image_tol)
-            target = RegularSimplex(IdealSimplex(tuple(images[i])),
-                                    int(img_or[i]))
-            hs.append(isometry_from_simplex_pair(
-                seeds[i], target,
-                regularity_tol=max(REGULARITY_TOL, image_tol)))
+            _check_seed_image(images[i], image_tol)
         except HyprigError as exc:
             fail(i, exc)
             break
-    H = np.array([h.matrix for h in hs])
+    H, signs = _seed_isometries(X[:alive], Y[:alive],
+                                max(REGULARITY_TOL, image_tol), fail)
+    img_or = orientation_signs(Y)
     worst = np.zeros(alive)
     for letters, V in walk:
         if not alive:
@@ -221,7 +253,7 @@ def _reconstruct(phi, seeds, walk, tol, image_tol):
         worst[:alive] = np.maximum(worst[:alive], np.max(gaps[:alive], axis=1))
     if error is not None:
         raise error
-    return hs, worst
+    return H, signs, worst
 
 
 def _check_seed_image(img_verts, image_tol):
@@ -231,6 +263,27 @@ def _check_seed_image(img_verts, image_tol):
             raise ImageNotRegular("image of the seed simplex is not regular")
     except DegenerateSimplex as exc:
         raise ImageNotRegular(str(exc)) from exc
+
+
+def _seed_isometries(X, Y, regularity_tol, fail):
+    """`_pair_isometries` on the seeds of `_reconstruct`.  If the stack
+    raises, the seeds are solved one by one up to the first that raises,
+    which `fail` records, and the isometries before it are returned."""
+    try:
+        return _pair_isometries(X, Y, regularity_tol)
+    except HyprigError:
+        pass
+    done = []
+    for i in range(len(X)):
+        try:
+            done.append(_pair_isometries(X[i:i + 1], Y[i:i + 1],
+                                         regularity_tol))
+        except HyprigError as exc:
+            fail(i, exc)
+            break
+    k = X.shape[1]
+    return (np.array([M[0] for M, _ in done]).reshape(-1, k, k),
+            np.array([signs[0] for _, signs in done], dtype=int))
 
 
 def _walk_images(phi, V, fail):
@@ -257,33 +310,31 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
     """Reconstruction from m random seed simplices g.ref, required to
     agree within tol in max-abs matrix norm.
 
-    The m isometries g are drawn as one stack, each seed's walk is g
-    applied to the cached reference walk, and all seeds are
-    reconstructed in one pass.  The error raised is the first that
-    reconstructing the seeds one after the other would raise; nothing is
-    skipped."""
+    The m isometries g are drawn as one stack, the m seed isometries are
+    solved as one stack, each seed's walk is g applied to the cached
+    reference walk, and all seeds are reconstructed in one pass.  The
+    error raised is the first that reconstructing the seeds one after the
+    other would raise; nothing is skipped."""
     if m < 2:
         raise ValueError("consensus needs at least 2 seeds")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     rng = np.random.default_rng(seed)
     G, _ = random_isometries(rng, n, m, max_translation=WINDOW)
-    ref = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
+    ref = reference_vertices(n)
     # act_ideal's own arithmetic on the stack, so that the seed vertices
     # are bit for bit act_ideal(g, v)
     Y = (G[:, None] @ null_lifts(ref)[None, :, :, None])[..., 0]
     X = Y[..., :-1] / Y[..., -1:]
     X = X / np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0]
-    seeds = [RegularSimplex(IdealSimplex(tuple(IdealPoint(x) for x in Xi)),
-                            int(sign))
-             for Xi, sign in zip(X, orientation_signs(X))]
     walk = ((letters, act_ideal_many(G[:, None], V))
             for letters, V in reference_walk(n, depth))
-    hs, _ = _reconstruct(phi, seeds, walk, ORBIT_TOL, IMAGE_TOL)
-    for h in hs[1:]:
-        if np.max(np.abs(h.matrix - hs[0].matrix)) > tol:
-            raise NoConsensus("reconstructions disagree", candidates=hs)
-    return hs[0]
+    H, signs, _ = _reconstruct(phi, X, walk, ORBIT_TOL, IMAGE_TOL)
+    if np.any(np.max(np.abs(H - H[0]), axis=(-2, -1)) > tol):
+        raise NoConsensus("reconstructions disagree",
+                          candidates=[Isometry(h, int(s))
+                                      for h, s in zip(H, signs)])
+    return Isometry(H[0], int(signs[0]))
 
 
 def verify_conjugacy(h: Isometry, preset: LatticePreset, rho_images) -> float:

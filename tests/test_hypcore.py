@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hyprig.hypcore import (
     make_isometry,
     mink,
     minkowski_matrix,
+    null_lifts,
     point_symmetry,
     random_isometries,
     random_isometry,
@@ -134,6 +136,45 @@ def test_random_isometries_match_per_draw_formula_bit_for_bit(n, orientation):
                 assert set(signs.tolist()) == {orientation}
             # the generators are left in the same state
             assert batched.random() == looped.random() == single.random()
+
+
+def test_act_ideal_matches_formula_bit_for_bit():
+    # the one-point action and the null lifts keep the arithmetic of the
+    # formulas below, on which reconstructed isometries depend bit for bit
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 4):
+        G, signs = random_isometries(rng, n, 20, 2.5)
+        X = rng.standard_normal((30, n))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        lifts = np.concatenate([X, np.ones((30, 1))], axis=1)
+        assert np.array_equal(null_lifts(X), lifts)
+        for M, sign in zip(G, signs):
+            g = Isometry(M, int(sign))
+            for x, lift in zip(X, lifts):
+                y = M @ lift
+                v = y[:-1] / y[-1]
+                got = act_ideal(g, IdealPoint(x)).coords
+                assert np.array_equal(got, v / np.linalg.norm(v))
+
+
+def test_random_isometries_past_overflow_raise_out_of_model():
+    # translation lengths this long leave the transvection non-finite;
+    # the draw raises instead of returning NaN matrices, with no warning,
+    # after reading the generator as any draw does
+    for n in (2, 3, 4):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfModel, match="translation length"):
+                random_isometries(rng, n, 3, max_translation=2000.0)
+            with pytest.raises(OutOfModel, match="translation length"):
+                random_isometry(np.random.default_rng(n), n,
+                                max_translation=2000.0)
+        for _ in range(3):
+            ref.standard_normal((n, n))
+            ref.uniform(0.0, 2000.0)
+            ref.standard_normal(n)
+        assert rng.random() == ref.random()
 
 
 def test_lorentz_stack_repairs_and_raises_like_make_isometry():

@@ -22,6 +22,7 @@ from hyprig.regref import (
     face_reflections,
     orbit,
     reference_regular,
+    reference_vertices,
     reference_walk,
     reflection_walk,
 )
@@ -218,12 +219,20 @@ def test_reference_walk_is_cached_read_only_and_filled_on_first_call():
             levels, reflection_walk(ref, face_reflections(ref), 2)):
         assert np.array_equal(letters, own_letters)
         assert np.array_equal(V, own_V)
-    # importing the package leaves the cache empty
+    for n in (2, 3, 4):
+        X = reference_vertices(n)
+        assert reference_vertices(n) is X
+        assert np.array_equal(X, [v.coords for v in
+                                  reference_regular(n, 1).base.vertices])
+        with pytest.raises(ValueError):
+            X[0, 0] = 0.0
+    # importing the package leaves the caches empty
     code = ("import hyprig.cli, hyprig.regref as r; "
-            "print(r.reference_walk.cache_info().currsize)")
+            "print(r.reference_walk.cache_info().currsize, "
+            "r.reference_vertices.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_orbit_deep_words_stay_lorentz():

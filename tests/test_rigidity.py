@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hyprig import boundary, rigidity, smear, volcocycle
 from hyprig.boundary import BoundaryMap, make_boundary_map
 from hyprig.errors import (
     DegenerateSimplex,
@@ -9,18 +12,29 @@ from hyprig.errors import (
     ImageNotRegular,
     NoConsensus,
     NoExactSolve,
+    NotLorentz,
+    NotRegular,
     OrbitMismatch,
     OutOfTable,
+    TimeReversing,
 )
 from hyprig.hypcore import (
     IdealPoint,
     act_ideal,
+    act_ideal_many,
     identity_isometry,
+    make_isometry,
+    minkowski_matrix,
+    null_lifts,
+    random_isometries,
     random_isometry,
 )
 from hyprig.lattice import load_preset
-from hyprig.regref import RegularSimplex, orbit, reference_regular
+from hyprig.regref import (RegularSimplex, orbit, reference_regular,
+                           reference_vertices)
 from hyprig.rigidity import (
+    _pair_isometries,
+    _seed_isometries,
     consensus,
     isometry_from_simplex_pair,
     preserves_regular,
@@ -57,6 +71,12 @@ def test_preserves_regular_perturbed_fails():
     assert rep.pass_fraction < 1.0
 
 
+def test_preserves_regular_reports_none_when_no_trial_passes():
+    phi = make_boundary_map("constant", point=IdealPoint(np.eye(3)[0]))
+    rep = preserves_regular(phi, 3, trials=10, seed=1)
+    assert (rep.pass_fraction, rep.orientation_mode) == (0.0, "none")
+
+
 def _preserves_regular_by_loop(phi, n, trials, tol=1e-6, seed=0):
     """preserves_regular one trial at a time: (pass_fraction, mode)."""
     rng = np.random.default_rng(seed)
@@ -74,7 +94,7 @@ def _preserves_regular_by_loop(phi, n, trials, tol=1e-6, seed=0):
         passes += 1
         modes.add("same" if orientation_sign(img) == orientation_sign(src)
                   else "opposite")
-    mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "same"
+    mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "none"
     return passes / trials, mode
 
 
@@ -154,6 +174,120 @@ def test_pair_solver_rejects_incongruent():
     tgt = RegularSimplex(IdealSimplex(tuple(verts)), orientation_sign(verts))
     with pytest.raises(NoExactSolve):
         isometry_from_simplex_pair(ref, tgt, regularity_tol=1e-6)
+
+
+def _pair_solve_by_formula(X, Y, regularity_tol):
+    """isometry_from_simplex_pair on one pair of vertex arrays (n+1, n),
+    one arithmetic step at a time: the reference for the stacked solve."""
+    for P in (X, Y):
+        if not is_regular([IdealPoint(x) for x in P], regularity_tol):
+            raise NotRegular("input simplex fails the regularity test")
+    S = null_lifts(X)
+    T = null_lifts(Y)
+    m = len(S)
+    J = minkowski_matrix(m - 1)
+    GS = S @ J @ S.T
+    GT = T @ J @ T.T
+    i, j = np.array(list(itertools.combinations(range(m), 2))).T
+    rows = np.eye(m)[i] + np.eye(m)[j]
+    rhs = np.log(GS[i, j] / GT[i, j])
+    lam = np.exp(np.linalg.lstsq(rows, rhs, rcond=None)[0])
+    M = np.linalg.solve(S, lam[:, None] * T).T
+    try:
+        g = make_isometry(M)
+    except (NotLorentz, TimeReversing) as exc:
+        raise NoExactSolve(f"simplices are not congruent: {exc}") from exc
+    worst = float(np.max(np.abs(act_ideal_many(g.matrix, S[:, :-1])
+                                - T[:, :-1])))
+    if worst > rigidity.SOLVE_RESIDUAL_TOL:
+        raise NoExactSolve(f"vertex residual {worst:.3e} after projection")
+    return g
+
+
+def _congruent_pairs(rng, n, m, orientation=None):
+    """m regular sources g1.ref and their images under g2 of the given
+    orientation, as vertex stacks (m, n+1, n)."""
+    G1, _ = random_isometries(rng, n, m, max_translation=1.5)
+    G2, _ = random_isometries(rng, n, m, 1.5, orientation)
+    X = act_ideal_many(G1, reference_vertices(n))
+    return X, act_ideal_many(G2, X)
+
+
+def test_stacked_pair_solve_matches_formula_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for n in (2, 3, 4):
+        for eps in (1, -1):
+            for _ in range(25):
+                X, Y = _congruent_pairs(rng, n, 8, eps)
+                M, signs = _pair_isometries(X, Y, 1e-6)
+                for Xi, Yi, Mi, si in zip(X, Y, M, signs):
+                    ref = _pair_solve_by_formula(Xi, Yi, 1e-6)
+                    assert np.array_equal(Mi, ref.matrix)
+                    assert si == ref.sign == eps
+
+
+def _spoil(rng, X, Y, i, kind):
+    """Pair i of the stacks spoilt so that its solve fails: a source that
+    is not regular, a target with coincident vertices, a target too far
+    from congruent for the Lorentz repair, or one the repair takes but
+    the residual test (at 1e-12, see the caller) rejects."""
+    if kind == "degenerate":
+        Y[i, 1] = Y[i, 0]
+        return
+    P, size = {"source": (X, 1e-3), "lorentz": (Y, 1e-7),
+               "residual": (Y, 1e-10)}[kind]
+    v = P[i, 0] + size * rng.standard_normal(P.shape[-1])
+    P[i, 0] = v / np.linalg.norm(v)
+
+
+_SPOILT = {"source": (NotRegular, "input simplex fails"),
+           "degenerate": (DegenerateSimplex, "vertex gap"),
+           "lorentz": (NoExactSolve, "simplices are not congruent: form"),
+           "residual": (NoExactSolve, "vertex residual")}
+
+
+def _first_failure(X, Y):
+    """The formula's matrices before the first failing pair, and its
+    error."""
+    done = []
+    for Xi, Yi in zip(X, Y):
+        try:
+            done.append(_pair_solve_by_formula(Xi, Yi, 1e-6))
+        except HyprigError as exc:
+            return done, exc
+    return done, None
+
+
+def test_stacked_pair_solve_raises_the_first_failing_pairs_error(monkeypatch):
+    # at this residual tolerance a 1e-10 nudge survives the Lorentz repair
+    # but not the residual test, while exact pairs pass
+    monkeypatch.setattr(rigidity, "SOLVE_RESIDUAL_TOL", 1e-12)
+    rng = np.random.default_rng(61)
+    for n in (3, 4):
+        cases = [(k,) for k in _SPOILT] + list(itertools.permutations(
+            _SPOILT, 2))
+        for kinds in cases:
+            X, Y = _congruent_pairs(rng, n, 5)
+            for i, kind in zip((1, 3), kinds):
+                _spoil(rng, X, Y, i, kind)
+            done, expect = _first_failure(X, Y)
+            assert len(done) == 1
+            assert isinstance(expect, _SPOILT[kinds[0]][0])
+            assert str(expect).startswith(_SPOILT[kinds[0]][1])
+            failures = []
+            M, signs = _seed_isometries(
+                X, Y, 1e-6, lambda i, exc: failures.append((i, exc)))
+            [(i, exc)] = failures
+            assert (i, type(exc), str(exc)) == (1, type(expect), str(expect))
+            assert np.array_equal(M, [g.matrix for g in done])
+            assert signs.tolist() == [g.sign for g in done]
+            # the pair alone raises the formula's error
+            source, target = (
+                RegularSimplex(IdealSimplex(tuple(map(IdealPoint, P[1]))), 1)
+                for P in (X, Y))
+            with pytest.raises(type(expect)) as alone:
+                isometry_from_simplex_pair(source, target, regularity_tol=1e-6)
+            assert str(alone.value) == str(expect)
 
 
 def test_reconstruct_planted():
@@ -420,3 +554,53 @@ def test_consensus_raises_the_first_failing_seeds_error():
     phi = _seed_tables(g, (3, 3, 3, 3), 5, {})
     h, _ = _assert_same_outcome(phi, 3, 4, 3, seed=5)
     assert np.max(np.abs(np.frombuffer(h).reshape(4, 4) - g.matrix)) < 1e-8
+
+
+# the module names hyprig_bench's traced run replaces by span recorders
+_TRACED_NAMES = {
+    rigidity: ("preserves_regular", "consensus", "reconstruct_isometry",
+               "isometry_from_simplex_pair", "verify_conjugacy",
+               "face_reflections", "is_regular", "act_ideal"),
+    smear: ("act_ideal",),
+    boundary: ("act_ideal",),
+    volcocycle: ("vol2", "vol3", "voln", "integrate_simplex"),
+}
+
+
+def test_rigidity_verbs_run_traced(monkeypatch):
+    # as in a traced benchmark run: every traced name wrapped in a plain
+    # pass-through function, and the map a plain function without a
+    # batch evaluator or attributes
+    rng = np.random.default_rng(67)
+    preset = load_preset("figure_eight_3d")
+    g = random_isometry(rng, 3, 1.0, orientation=-1)
+    rho = [g @ gen @ g.inverse() for gen in preset.generators]
+    seed_s = moved_regular(random_isometry(rng, 3, 1.0))
+
+    def run(phi):
+        rep = rigidity.preserves_regular(phi, 3, trials=20, seed=1)
+        h = rigidity.consensus(phi, 3, m=8, depth=4, seed=2)
+        resid = rigidity.verify_conjugacy(h, preset, rho)
+        res = rigidity.reconstruct_isometry(phi, seed_s, depth=4)
+        return (rep, h.matrix.tobytes(), h.sign, resid,
+                res.h.matrix.tobytes(), res.h.sign, res.max_orbit_mismatch)
+
+    phi = planted(g)
+    expect = run(lambda xi: phi(xi))
+    batch = run(phi)
+    assert expect[1:3] == batch[1:3] and expect[4:6] == batch[4:6]
+    calls = []
+
+    def pass_through(name, fn):
+        def traced(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return traced
+
+    for module, names in _TRACED_NAMES.items():
+        for name in names:
+            monkeypatch.setattr(module, name,
+                                pass_through(name, getattr(module, name)))
+    assert run(lambda xi: phi(xi)) == expect
+    assert {"preserves_regular", "consensus", "reconstruct_isometry",
+            "verify_conjugacy", "face_reflections"} <= set(calls)
