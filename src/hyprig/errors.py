@@ -96,7 +96,8 @@ class PresetCorrupt(HyprigError):
 
 
 class BadTruncation(HyprigError):
-    """Truncation height below a cell's cusp floor."""
+    """Truncation height not finite or not above the cusp floor, or one
+    that leaves a cell empty."""
 
 
 # -- smearing --------------------------------------------------------------

@@ -10,7 +10,11 @@ Sampling of the invariant probability measure on the quotient uses the
 decomposition of an isometry into (base point, frame): base points are
 importance-sampled in the truncated fundamental domain against the
 volume form, frames are Haar-uniform in O(n), and each sample carries a
-density-ratio weight whose batch average is the truncated mass.
+density-ratio weight whose batch average is the truncated mass.  The
+cells are drawn by inverse CDF and the feet as normalised exponential
+spacings, the very draws of Generator.choice and Generator.dirichlet;
+the frames are the Gram-Schmidt orthonormalisations of Gaussian
+matrices (Mezzadri, Notices AMS 54, 2007).
 """
 
 from __future__ import annotations
@@ -236,6 +240,15 @@ def load_preset(name: str) -> LatticePreset:
                          cusp_floor=floor, charts=charts, covolume=covol)
 
 
+def _check_truncation(preset: LatticePreset, T: float) -> None:
+    """Raise BadTruncation unless T is a finite height above the cusp
+    floor; the cusp volumes are then computed through T^{-d}, which
+    underflows where T^d would overflow."""
+    if not (math.isfinite(T) and T > preset.cusp_floor):
+        raise BadTruncation(f"T = {T} is not a finite height above the "
+                            f"cusp floor {preset.cusp_floor}")
+
+
 def truncation_error_bound(preset: LatticePreset, T: float) -> float:
     """Bias bound for estimates on the T-truncated domain.
 
@@ -243,9 +256,10 @@ def truncation_error_bound(preset: LatticePreset, T: float) -> float:
     analytic in half-space; since every integrand of interest is bounded
     by v_n, the bias is at most v_n times the missing mass fraction.
     """
-    n = preset.n
-    removed = preset.charts.area.sum() / ((n - 1) * T ** (n - 1))
-    return float(v_n(n) * removed / preset.covolume)
+    _check_truncation(preset, T)
+    d = preset.n - 1
+    removed = preset.charts.area.sum() * T ** (-d) / d
+    return float(v_n(preset.n) * removed / preset.covolume)
 
 
 def default_truncation(preset: LatticePreset) -> float:
@@ -254,6 +268,22 @@ def default_truncation(preset: LatticePreset) -> float:
     T = (v_n(n) * preset.charts.area.sum()
          / ((n - 1) * preset.covolume * BIAS_TARGET)) ** (1.0 / (n - 1))
     return float(max(T, preset.cusp_floor * 1.01))
+
+
+def _haar_frames(G: np.ndarray) -> np.ndarray:
+    """The orthogonal factors Q of G = QR (N, n, n) with positive R
+    diagonal, by classical Gram-Schmidt run twice per column (CGS2).
+
+    For Gaussian G these are Haar-distributed in O(n).  The second pass
+    keeps Q orthogonal to rounding even for ill-conditioned G."""
+    cols = [G[:, :, j].copy() for j in range(G.shape[2])]
+    for j, v in enumerate(cols):
+        for _ in range(2):
+            coef = [np.einsum("ni,ni->n", q, v) for q in cols[:j]]
+            for q, c in zip(cols[:j], coef):
+                v -= c[:, None] * q
+        v /= np.sqrt(np.einsum("ni,ni->n", v, v))[:, None]
+    return np.stack(cols, axis=2)
 
 
 def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
@@ -283,16 +313,16 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
     n = preset.n
     if T is None:
         T = default_truncation(preset)
-    if T <= preset.cusp_floor:
-        raise BadTruncation(
-            f"T = {T} is not above the cusp floor {preset.cusp_floor}")
-
+    _check_truncation(preset, T)
     d = n - 1
     ch = preset.charts
-    trunc_vols = ch.volume - ch.area / (d * T ** d)
+    trunc_vols = ch.volume - ch.area * T ** (-d) / d
     if np.any(trunc_vols <= 0):
         raise BadTruncation("truncation leaves an empty cell")
     p_cell = trunc_vols / trunc_vols.sum()
+    # the cells by inverse CDF, as Generator.choice(p=p_cell) draws them
+    cdf = p_cell.cumsum()
+    cdf /= cdf[-1]
 
     streams = [stream] if stream is None or np.ndim(stream) == 0 else stream
     draws = []
@@ -300,8 +330,11 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
         # stream k is child k of SeedSequence(seed).spawn(), made directly
         rng = np.random.default_rng(np.random.SeedSequence(
             seed, spawn_key=() if k is None else (k,)))
-        draws.append((rng.choice(len(p_cell), size=N, p=p_cell),
-                      rng.dirichlet(np.ones(d + 1), size=N),
+        cells_k = cdf.searchsorted(rng.random(N), side="right")
+        # the feet's barycentric coordinates as normalised exponential
+        # spacings, as Generator.dirichlet(np.ones(d + 1)) draws them
+        E = rng.standard_exponential((N, d + 1))
+        draws.append((cells_k, E * (1.0 / E.sum(axis=1, keepdims=True)),
                       rng.uniform(size=N),
                       rng.standard_normal((N, n, n))))
     cells, lam, u, gauss = (np.concatenate(a) for a in zip(*draws))
@@ -322,9 +355,9 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
     Y = halfspace_to_hyperboloid(x, t)
     y, y0 = Y[:, :n], Y[:, n]
 
-    # Haar frames: QR of Gaussian matrices, column signs fixed by diag(R)
-    Q, R = np.linalg.qr(gauss)
-    frames = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    # Haar frames: the Q of the Gaussian matrices' QR with positive R
+    # diagonal, which Gram-Schmidt gives (Mezzadri 2007)
+    frames = _haar_frames(gauss)
 
     # g = [[I + y y^T/(1+y0), y], [y^T, y0]] @ diag(frame, 1): the
     # transvection carrying the basepoint to (y, y0) after the rotation

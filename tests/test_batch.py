@@ -322,6 +322,62 @@ def test_sample_haar_stream_sequence_stacks_single_streams(presets, name):
                    for f in fields)
 
 
+def _numpy_draws(p, seed, N, stream):
+    """The cells, weights, Gaussian frame blocks and generator of one
+    stream, drawn with Generator.choice and Generator.dirichlet, and the
+    weights by the density-ratio formula written out."""
+    n, d, ch, T = p.n, p.n - 1, p.charts, default_truncation(p)
+    trunc = ch.volume - ch.area / (d * T ** d)
+    p_cell = trunc / trunc.sum()
+    rng = np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=() if stream is None else (stream,)))
+    cells = rng.choice(len(p_cell), size=N, p=p_cell)
+    lam = rng.dirichlet(np.ones(d + 1), size=N)
+    u = rng.uniform(size=N)
+    gauss = rng.standard_normal((N, n, n))
+    x = np.einsum("ij,ijk->ik", lam, ch.base[cells])
+    off = x - ch.center[cells]
+    h2 = np.maximum(ch.radius[cells] ** 2 - np.einsum("ij,ij->i", off, off),
+                    1e-300)
+    h = np.minimum(np.sqrt(h2), T)
+    intensity = (h ** (-d) - T ** (-d)) / d
+    weights = ch.area[cells] * intensity / (p.covolume * p_cell[cells])
+    return cells, weights, gauss, rng
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_sample_haar_draws_are_numpys_choice_and_dirichlet(
+        presets, name, monkeypatch):
+    """sample_haar's inverse-CDF cells and exponential-spacing feet are
+    the draws of Generator.choice(p=...) and Generator.dirichlet(ones),
+    bit for bit, and leave the generator in the same state; its frames
+    have the orientations of the Gaussian blocks' QR frames."""
+    p = presets[name]
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    for stream in (None, 0, 5, [4, 0, 9]):
+        made.clear()
+        batch = sample_haar(p, 42, 64, stream=stream)
+        rngs = made.copy()
+        refs = [_numpy_draws(p, 42, 64, k)
+                for k in (stream if isinstance(stream, list) else [stream])]
+        cells, weights, gauss = (np.concatenate(a)
+                                 for a in zip(*(r[:3] for r in refs)))
+        assert np.array_equal(batch.cells, cells)
+        assert np.array_equal(batch.weights, weights)
+        assert [g.random() for g in rngs] == [r[3].random() for r in refs]
+        Q, R = np.linalg.qr(gauss)
+        frames = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+        assert np.array_equal(batch.signs,
+                              np.where(np.linalg.det(frames) > 0, 1, -1))
+
+
 def test_halfspace_lift_matches_sample_haar_closed_form():
     """halfspace_to_hyperboloid bit for bit against the lift sample_haar
     wrote out inline, on batches of feet x and heights t in R^d for the

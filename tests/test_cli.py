@@ -362,6 +362,24 @@ def test_estimates_report_their_truncation_height(capsys, command):
     assert out["diagnostics"]["T"] == 250.0
 
 
+@pytest.mark.parametrize("T", ["nan", "inf", "0.5773502691896257"])
+def test_truncation_not_finite_above_the_cusp_floor_exits_1(capsys, T):
+    code = run(["smear", "--preset", "figure_eight_3d", "--map",
+                "planted-identity", "--samples", "64", "--seed", "1",
+                "--truncation", T])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "BadTruncation"
+
+
+def test_huge_truncation_gives_valid_json(capsys):
+    code, out = run_json(capsys, ["smear", "--preset", "figure_eight_3d",
+                                  "--map", "planted-identity", "--samples",
+                                  "64", "--seed", "1", "--truncation", "1e200"])
+    assert code == 0
+    assert out["diagnostics"]["T"] == 1e200 and out["bias_bound"] == 0.0
+
+
 def test_every_payload_echoes_the_versions(capsys):
     for argv in (["vn", "--n", "3"], ["preset", "list"],
                  ["smear", "--preset", "test_reflection_2d", "--map",

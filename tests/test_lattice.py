@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from hyprig.errors import BadTruncation, PresetCorrupt, UnknownPreset
 from hyprig.lattice import (
+    _haar_frames,
     default_truncation,
     load_preset,
     sample_haar,
@@ -95,10 +97,23 @@ def test_truncation_bound_decay():
     assert T > p.cusp_floor
 
 
-def test_bad_truncation():
+@pytest.mark.parametrize("T", [0.5, "floor", math.nan, math.inf, -math.inf])
+def test_bad_truncation(T):
     p = load_preset("figure_eight_3d")
+    T = p.cusp_floor if T == "floor" else T
     with pytest.raises(BadTruncation):
-        sample_haar(p, 1, 10, T=0.5)
+        sample_haar(p, 1, 10, T=T)
+    with pytest.raises(BadTruncation):
+        truncation_error_bound(p, T)
+
+
+@pytest.mark.parametrize("name", ["figure_eight_3d", "test_reflection_2d"])
+def test_huge_truncation_keeps_the_whole_cusp(name):
+    # T^d overflows a float at d = 2; the cusp mass T^{-d} only underflows
+    p = load_preset(name)
+    assert 0.0 <= truncation_error_bound(p, 1e200) < 1e-190
+    b = sample_haar(p, 1, 64, T=1e200)
+    assert all(np.all(np.isfinite(a)) for a in (b.matrices, b.weights))
 
 
 def test_sampler_reproducible():
@@ -134,6 +149,44 @@ def test_sampler_weights_2d():
     frac = truncation_error_bound(p, T) / v_n(2)
     se = w.std(ddof=1) / np.sqrt(len(w))
     assert abs(w.mean() - (1.0 - frac)) < 3 * se + 1e-12
+
+
+def _lapack_frames(G):
+    Q, R = np.linalg.qr(G)
+    return Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_schmidt_frames_match_lapack_qr(n):
+    """_haar_frames against LAPACK's Q sign(diag R) on Gaussian blocks and
+    on blocks of condition number kappa.  Q is unique and well-conditioned
+    when the columns are Gaussian or only scaled (graded), so there the two
+    agree; when the columns are nearly dependent, Q itself moves by about
+    kappa * eps, so there only orthogonality, the factorisation and the
+    orientation are checked."""
+    rng = np.random.default_rng(40 + n)
+    eye = np.eye(n)
+
+    def check(G, agree):
+        Q = _haar_frames(G)
+        assert np.abs(np.swapaxes(Q, 1, 2) @ Q - eye).max() <= 2e-15
+        # Q^T G is upper triangular with a positive diagonal
+        R = np.swapaxes(Q, 1, 2) @ G
+        scale = np.abs(G).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(np.tril(R, -1)) <= 1e-14 * scale)
+        assert np.all(np.diagonal(R, axis1=1, axis2=2) > 0)
+        ref = _lapack_frames(G)
+        assert np.array_equal(np.linalg.det(Q) > 0, np.linalg.det(ref) > 0)
+        if agree:
+            assert np.abs(Q - ref).max() <= 1e-12
+
+    check(rng.standard_normal((10_000, n, n)), True)
+    for kappa in (1e6, 1e10, 1e14):
+        s = np.geomspace(1.0, 1.0 / kappa, n)
+        check(rng.standard_normal((2_000, n, n)) * s, True)
+        U, V = (_lapack_frames(rng.standard_normal((2_000, n, n)))
+                for _ in range(2))
+        check((U * s) @ np.swapaxes(V, 1, 2), False)
 
 
 def test_sampler_frames_cover_both_orientations():

@@ -18,6 +18,7 @@ from hyprig.volcocycle import (
     V2,
     V3,
     V4,
+    _zeta_even,
     is_regular,
     lobachevsky,
     orientation_sign,
@@ -69,6 +70,33 @@ def test_lobachevsky_against_partial_sums():
     for t in (0.3, 1.0, math.pi / 6, 2.5):
         partial = 0.5 * np.sum(np.sin(2 * ks * t) / ks**2)
         assert abs(lobachevsky(t) - partial) < 1e-5
+
+
+def _lobachevsky_40_terms(t):
+    """The series on |t| <= pi/2 to 40 terms, summed through a cumprod of
+    powers of (t/pi)^2 and a dot product: the reference for the Horner
+    evaluation."""
+    k = np.arange(1, 41)
+    series = _zeta_even(40) / (k * (2 * k + 1))
+    acc = t - t * np.log(np.abs(2.0 * t) + (t == 0.0))
+    powers = np.cumprod((t / np.pi)[..., None] ** 2 * np.ones(40), axis=-1)
+    return acc + t * (powers @ series)
+
+
+def test_lobachevsky_horner_against_clausen():
+    """L(t) = Cl_2(2t)/2 at 30 digits, on the reduced range |t| <= pi/2,
+    at its ends, at 0 and next to 0; and the 24-term Horner sum against
+    the 40-term series."""
+    rng = np.random.default_rng(44)
+    t = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, 3000),
+                        [0.0, math.pi / 2, -math.pi / 2],
+                        rng.uniform(-1e-8, 1e-8, 20), [5e-324, -1e-300]])
+    got = lobachevsky(t)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.clsin(2, 2 * mpmath.mpf(x)) / 2)
+                         for x in t])
+    assert np.abs(got - want).max() <= 5e-16
+    assert np.abs(got - _lobachevsky_40_terms(t)).max() <= 2.3e-16
 
 
 def test_vol2_values_and_orientation():
