@@ -9,8 +9,10 @@ in face i of g.s is g r_i g^-1).  `orbit` and `rigidity.reconstruct_isometry`
 walk it; `reference_vertices` caches the vertices of the reference
 simplex and `reference_walk` its walk, which `rigidity.consensus` moves
 onto each seed g.ref, since the walk of g.ref is g applied to it letter
-for letter.  `density_probe` measures how well the words approximate a
-target.
+for letter.  A walk grows n-fold per letter, so each is held to
+MAX_WALK_SIZE simplices by default and refuses a deeper one with
+BudgetExceeded before it starts.  `density_probe` measures how well the
+words approximate a target.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .volcocycle import IdealSimplex, is_regular, orientation_sign
 DEDUP_GRID = 1e-7
 DEDUP_RECHECK = 1e-9
 REORTH_EVERY = 8
+MAX_WALK_SIZE = 200_000  # simplices in a walk, the root included
 
 
 @dataclass(frozen=True)
@@ -91,14 +94,24 @@ def face_reflections(s: RegularSimplex):
     return out
 
 
-def reflection_walk(s: RegularSimplex, reflections, depth: int):
+def reflection_walk(s: RegularSimplex, reflections, depth: int,
+                    max_size: int = MAX_WALK_SIZE):
     """Breadth-first reflection words of s, given its face reflections.
 
     Yields for each length L = 1..depth the letters (K, L), by parent and
     then new letter, which never repeats the last one; the matrices
     (K, n+1, n+1), re-orthogonalized every REORTH_EVERY letters; and the
     vertices (K, n+1, n) of the images of s, where letter i moves vertex i.
+    The walk grows n-fold per letter; before its first level it raises
+    BudgetExceeded if it would hold more than max_size simplices, s
+    included.
     """
+    size, level = 1, len(reflections)
+    for _ in range(depth):
+        size += level
+        level *= len(reflections) - 1
+        if size > max_size:
+            raise BudgetExceeded(f"walk would exceed {max_size} simplices")
     R = np.array([r.matrix for r in reflections])
     X = np.array([v.coords for v in s.base.vertices])
     letters = np.zeros((1, 0), dtype=np.int64)
@@ -167,7 +180,7 @@ class _VertexSet:
                 yield key[:j] + (key[j] + dlt,) + key[j + 1:]
 
 
-def orbit(s: RegularSimplex, depth: int, max_size: int = 200_000):
+def orbit(s: RegularSimplex, depth: int, max_size: int = MAX_WALK_SIZE):
     """Breadth-first reflection orbit of a regular simplex.
 
     Returns (entries, vertex_points): entries are (ReflectionWord,
@@ -178,17 +191,12 @@ def orbit(s: RegularSimplex, depth: int, max_size: int = 200_000):
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = s.base.n
-    size, level = 1, n + 1
-    for _ in range(depth):
-        size += level
-        level *= n
-        if size > max_size:
-            raise BudgetExceeded(f"orbit would exceed {max_size} simplices")
     entries = [(ReflectionWord((), identity_isometry(n)), s)]
     vertices = _VertexSet()
     for v in s.base.vertices:
         vertices.add(v.coords)
-    for letters, G, V in reflection_walk(s, face_reflections(s), depth):
+    for letters, G, V in reflection_walk(s, face_reflections(s), depth,
+                                         max_size):
         sign = (-1) ** letters.shape[1]
         for word, g, verts in zip(letters.tolist(), G, V):
             vertices.add(verts[word[-1]])
@@ -199,7 +207,7 @@ def orbit(s: RegularSimplex, depth: int, max_size: int = 200_000):
 
 
 def density_probe(n: int, target: Isometry, depth: int,
-                  max_size: int = 200_000):
+                  max_size: int = MAX_WALK_SIZE):
     """Best approximation of a target isometry by reflection words.
 
     Enumerates words of length <= depth in the face reflections of the

@@ -11,7 +11,9 @@ from m random seeds g.ref in one pass: all m seed isometries come from
 one stacked solve, the walk of g.ref is g applied to the cached walk of
 the reference simplex (`regref.reference_walk`), so each word length of
 all m walks is mapped and checked in one batch, and the m
-reconstructions must agree.  `verify_conjugacy` confirms the resulting
+reconstructions must agree.  The pass raises the first failure it
+meets; only then are the seeds replayed one by one, so that the error
+is the first failing seed's.  `verify_conjugacy` confirms the resulting
 conjugation of lattice generators.
 """
 
@@ -135,7 +137,8 @@ def _pair_isometries(X, Y, regularity_tol):
     `_lorentz_stack` and one residual test; each pair's arithmetic is bit
     for bit that of solving it alone.  A failing pair raises: for m = 1
     the pair's own error, and for a larger stack some pair's error, not
-    necessarily the first's (see `_seed_isometries`).
+    necessarily the first's (`consensus` replays the seeds one by one to
+    find the first).
     """
     for P in (X, Y):
         ok = regular_mask(P, regularity_tol)
@@ -198,61 +201,35 @@ def _reconstruct(phi, X, walk, tol, image_tol):
     walk yields, per word length, the letters (K, L) and the vertices
     (m, K, n+1, n) of every seed's reflection walk.  The seed images are
     taken one point at a time, and all m candidates come from one stacked
-    `_seed_isometries` solve; each walk level of all seeds is mapped by
-    one `evaluate_many` call and checked in one batch.  The error raised
-    is the one that reconstructing the seeds one after the other would
-    raise first: a seed is checked up to its first failure, and the seeds
-    after a failing one are dropped.
+    `_pair_isometries` solve; each walk level of all seeds is mapped by
+    one `evaluate_many` call and checked in one batch.  The first failure
+    met raises, which for m > 1 need not be the first failing seed's.
     """
-    alive, error = len(X), None  # the seeds before alive pass so far
-
-    def fail(i, exc):
-        nonlocal alive, error
-        alive, error = i, exc
-
-    images = []
-    for i, Xi in enumerate(X):
-        try:
-            images.append([phi(IdealPoint(x)) for x in Xi])
-        except HyprigError as exc:
-            fail(i, exc)
-            break
-    if not alive:
-        raise error
+    images = [[phi(IdealPoint(x)) for x in Xi] for Xi in X]
     Y = np.array([[v.coords for v in img] for img in images])
     for i in np.flatnonzero(~regular_mask(Y, image_tol)):
-        try:
-            _check_seed_image(images[i], image_tol)
-        except HyprigError as exc:
-            fail(i, exc)
-            break
-    H, signs = _seed_isometries(X[:alive], Y[:alive],
-                                max(REGULARITY_TOL, image_tol), fail)
+        _check_seed_image(images[i], image_tol)
+    H, signs = _pair_isometries(X, Y, max(REGULARITY_TOL, image_tol))
     img_or = orientation_signs(Y)
-    worst = np.zeros(alive)
+    worst = np.zeros(len(X))
     for letters, V in walk:
-        if not alive:
-            break
-        img = _walk_images(phi, V[:alive], fail)
-        V = V[:alive]
+        img = evaluate_many(phi, V.reshape(-1, V.shape[-1])).reshape(V.shape)
         added = slice(None), np.arange(len(letters)), letters[:, -1]
-        gaps = np.max(np.abs(act_ideal_many(H[:alive], V[added])
-                             - img[added]), axis=-1)
+        gaps = np.max(np.abs(act_ideal_many(H, V[added]) - img[added]),
+                      axis=-1)
         misoriented = (orientation_signs(img.reshape(-1, *img.shape[2:]))
                        .reshape(gaps.shape)
-                       != (-1) ** letters.shape[1] * img_or[:alive, None])
+                       != (-1) ** letters.shape[1] * img_or[:, None])
         bad = (gaps > tol) | misoriented
         failing = np.flatnonzero(bad.any(axis=1))
         if len(failing):
             i = failing[0]
             gap = float(gaps[i, np.argmax(bad[i])])
-            fail(i, OrbitMismatch(
+            raise OrbitMismatch(
                 f"orbit vertex deviates by {gap:.3e} > {tol:.3e}"
                 if gap > tol else "image orientation fails to alternate",
-                mismatch=gap))
-        worst[:alive] = np.maximum(worst[:alive], np.max(gaps[:alive], axis=1))
-    if error is not None:
-        raise error
+                mismatch=gap)
+        worst = np.maximum(worst, np.max(gaps, axis=1))
     return H, signs, worst
 
 
@@ -265,56 +242,16 @@ def _check_seed_image(img_verts, image_tol):
         raise ImageNotRegular(str(exc)) from exc
 
 
-def _seed_isometries(X, Y, regularity_tol, fail):
-    """`_pair_isometries` on the seeds of `_reconstruct`.  If the stack
-    raises, the seeds are solved one by one up to the first that raises,
-    which `fail` records, and the isometries before it are returned."""
-    try:
-        return _pair_isometries(X, Y, regularity_tol)
-    except HyprigError:
-        pass
-    done = []
-    for i in range(len(X)):
-        try:
-            done.append(_pair_isometries(X[i:i + 1], Y[i:i + 1],
-                                         regularity_tol))
-        except HyprigError as exc:
-            fail(i, exc)
-            break
-    k = X.shape[1]
-    return (np.array([M[0] for M, _ in done]).reshape(-1, k, k),
-            np.array([signs[0] for _, signs in done], dtype=int))
-
-
-def _walk_images(phi, V, fail):
-    """phi on one walk level V (a, K, n+1, n) of a seeds, in one batch.
-    If that raises, the seeds are mapped one by one up to the first that
-    raises, which `fail` records, and the images before it are returned."""
-    try:
-        return evaluate_many(phi, V.reshape(-1, V.shape[-1])).reshape(V.shape)
-    except HyprigError:
-        pass
-    out = []
-    for i, Vi in enumerate(V):
-        try:
-            out.append(evaluate_many(phi, Vi.reshape(-1, V.shape[-1]))
-                       .reshape(Vi.shape))
-        except HyprigError as exc:
-            fail(i, exc)
-            break
-    return np.array(out).reshape(-1, *V.shape[1:])
-
-
 def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
               seed=0) -> Isometry:
     """Reconstruction from m random seed simplices g.ref, required to
     agree within tol in max-abs matrix norm.
 
-    The m isometries g are drawn as one stack, the m seed isometries are
-    solved as one stack, each seed's walk is g applied to the cached
-    reference walk, and all seeds are reconstructed in one pass.  The
-    error raised is the first that reconstructing the seeds one after the
-    other would raise; nothing is skipped."""
+    The m isometries g are drawn as one stack, and each seed's walk is g
+    applied to the cached reference walk; all seeds are reconstructed in
+    one pass.  If that pass raises, the seeds are reconstructed again one
+    by one, and the first that raises on its own raises its error: the
+    error of reconstructing the seeds one after the other."""
     if m < 2:
         raise ValueError("consensus needs at least 2 seeds")
     if depth < 0:
@@ -327,9 +264,19 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
     Y = (G[:, None] @ null_lifts(ref)[None, :, :, None])[..., 0]
     X = Y[..., :-1] / Y[..., -1:]
     X = X / np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0]
-    walk = ((letters, act_ideal_many(G[:, None], V))
-            for letters, V in reference_walk(n, depth))
-    H, signs, _ = _reconstruct(phi, X, walk, ORBIT_TOL, IMAGE_TOL)
+    levels = reference_walk(n, depth)
+
+    def reconstruct(k):
+        walk = ((letters, act_ideal_many(G[k, None], V))
+                for letters, V in levels)
+        return _reconstruct(phi, X[k], walk, ORBIT_TOL, IMAGE_TOL)
+
+    try:
+        H, signs, _ = reconstruct(slice(None))
+    except HyprigError:
+        for i in range(m):
+            reconstruct(slice(i, i + 1))
+        raise
     if np.any(np.max(np.abs(H - H[0]), axis=(-2, -1)) > tol):
         raise NoConsensus("reconstructions disagree",
                           candidates=[Isometry(h, int(s))

@@ -276,6 +276,15 @@ def test_rigidity_pipeline_via_cli(tmp_path, capsys):
     assert out["residual"] < 1e-7
 
 
+def test_reconstruct_past_the_walk_budget_exits_1(capsys):
+    code = run(["reconstruct", "--map", "planted-identity", "--n", "3",
+                "--seed", "1", "--depth", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "BudgetExceeded"
+
+
 def _unit_rows(rng, count, n):
     P = rng.standard_normal((count, n))
     return (P / np.linalg.norm(P, axis=1, keepdims=True)).tolist()

@@ -152,6 +152,15 @@ def test_orbit_budget():
         orbit(s, 1, max_size=4)
     assert len(orbit(s, 1, max_size=5)[0]) == 5
     assert len(orbit(s, 3, max_size=53)[0]) == 53
+    # depth 30 would hold 1 + 4 (3^30 - 1) / 2 simplices: the walk
+    # refuses before its first level
+    walk = reflection_walk(s, face_reflections(s), 30)
+    with pytest.raises(BudgetExceeded):
+        next(walk)
+    assert len(list(reflection_walk(s, face_reflections(s), 3,
+                                    max_size=53))) == 3
+    with pytest.raises(BudgetExceeded):
+        next(reflection_walk(s, face_reflections(s), 3, max_size=52))
 
 
 def _per_simplex_bfs(s, depth):

@@ -6,6 +6,7 @@ import pytest
 from hyprig import boundary, rigidity, smear, volcocycle
 from hyprig.boundary import BoundaryMap, make_boundary_map
 from hyprig.errors import (
+    BudgetExceeded,
     DegenerateSimplex,
     GeneratorCountMismatch,
     HyprigError,
@@ -34,7 +35,6 @@ from hyprig.regref import (RegularSimplex, orbit, reference_regular,
                            reference_vertices)
 from hyprig.rigidity import (
     _pair_isometries,
-    _seed_isometries,
     consensus,
     isometry_from_simplex_pair,
     preserves_regular,
@@ -274,13 +274,22 @@ def test_stacked_pair_solve_raises_the_first_failing_pairs_error(monkeypatch):
             assert len(done) == 1
             assert isinstance(expect, _SPOILT[kinds[0]][0])
             assert str(expect).startswith(_SPOILT[kinds[0]][1])
-            failures = []
-            M, signs = _seed_isometries(
-                X, Y, 1e-6, lambda i, exc: failures.append((i, exc)))
+            with pytest.raises(HyprigError):
+                _pair_isometries(X, Y, 1e-6)
+            # one pair at a time, as consensus replays its seeds
+            solved, failures = [], []
+            for i in range(len(X)):
+                try:
+                    solved.append(_pair_isometries(X[i:i + 1], Y[i:i + 1],
+                                                   1e-6))
+                except HyprigError as exc:
+                    failures.append((i, exc))
+                    break
             [(i, exc)] = failures
             assert (i, type(exc), str(exc)) == (1, type(expect), str(expect))
-            assert np.array_equal(M, [g.matrix for g in done])
-            assert signs.tolist() == [g.sign for g in done]
+            assert np.array_equal([M[0] for M, _ in solved],
+                                  [g.matrix for g in done])
+            assert [signs[0] for _, signs in solved] == [g.sign for g in done]
             # the pair alone raises the formula's error
             source, target = (
                 RegularSimplex(IdealSimplex(tuple(map(IdealPoint, P[1]))), 1)
@@ -537,16 +546,24 @@ def test_consensus_raises_the_first_failing_seeds_error():
     phi = _seed_tables(g, (3, 3, 3, 3), 5, {(1, 9): nudge, (2, 0): 1e2 * nudge})
     expect = _assert_same_outcome(phi, 3, 4, 3, seed=5)
     assert expect[0] is OrbitMismatch and expect[2] > 1e-8
+    # seed 2's image is regular within the 1e-6 gate but not congruent
+    # to its seed, so the stacked seed solve raises before any walk; seed
+    # 1 fails at depth 1, and its walk error wins
+    alone = _seed_tables(g, (3, 3, 3, 3), 5, {(2, 0): 1e-2 * nudge})
+    phi = _seed_tables(g, (3, 3, 3, 3), 5, {(1, 5): nudge,
+                                            (2, 0): 1e-2 * nudge})
+    assert _assert_same_outcome(alone, 3, 4, 3, seed=5)[0] is NoExactSolve
+    expect = _assert_same_outcome(phi, 3, 4, 3, seed=5)
+    assert expect[0] is OrbitMismatch and expect[2] > 1e-8
     # seed 2 has no table at all, seed 1 fails at depth 1
     phi = _seed_tables(g, (3, 3, None, 3), 5, {(1, 5): nudge})
     assert _assert_same_outcome(phi, 3, 4, 3, seed=5)[0] is OrbitMismatch
     # seed 0 runs off its table at depth 3, after seed 1 failed at depth 1:
-    # the one-pass walk maps the level seed by seed to find the culprit
+    # the pass stops at seed 1, and the replay finds seed 0's error
     phi = _seed_tables(g, (2, 3, 3, 3), 5, {(1, 5): nudge})
     assert _assert_same_outcome(phi, 3, 4, 3, seed=5)[0] is OutOfTable
-    # seed 1 runs off its table at depth 3, where seed 0 fails: the level
-    # that raises as a batch is mapped seed by seed, and seed 0's checks
-    # go on
+    # seed 1 runs off its table at depth 3, where seed 0 fails: the pass
+    # raises seed 1's error, and seed 0 replayed alone raises its own
     phi = _seed_tables(g, (3, 2, 3, 3), 5, {(0, -1): nudge})
     expect = _assert_same_outcome(phi, 3, 4, 3, seed=5)
     assert expect[0] is OrbitMismatch
@@ -554,6 +571,39 @@ def test_consensus_raises_the_first_failing_seeds_error():
     phi = _seed_tables(g, (3, 3, 3, 3), 5, {})
     h, _ = _assert_same_outcome(phi, 3, 4, 3, seed=5)
     assert np.max(np.abs(np.frombuffer(h).reshape(4, 4) - g.matrix)) < 1e-8
+
+
+def test_consensus_replays_the_seeds_only_when_the_pass_fails(monkeypatch):
+    calls = []
+    reconstruct = rigidity._reconstruct
+
+    def counted(phi, X, *args):
+        calls.append(len(X))
+        return reconstruct(phi, X, *args)
+
+    monkeypatch.setattr(rigidity, "_reconstruct", counted)
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 4):
+        calls.clear()
+        consensus(planted(random_isometry(rng, n, 1.0)), n, m=8, depth=3,
+                  seed=n)
+        assert calls == [8]
+    # seed 1 fails in its walk: the pass, then seeds 0 and 1 alone
+    g = random_isometry(np.random.default_rng(47), 3, 1.0)
+    nudge = 1e-5 * np.array([0.3, -0.7, 0.2])
+    calls.clear()
+    with pytest.raises(OrbitMismatch):
+        consensus(_seed_tables(g, (3, 3, 3, 3), 5, {(1, 5): nudge}), 3, m=4,
+                  depth=3, seed=5)
+    assert calls == [4, 1, 1]
+
+
+def test_walk_budget_refuses_deep_reconstructions():
+    phi = planted(identity_isometry(3))
+    with pytest.raises(BudgetExceeded):
+        consensus(phi, 3, m=2, depth=30)
+    with pytest.raises(BudgetExceeded):
+        reconstruct_isometry(phi, reference_regular(3, 1), depth=30)
 
 
 # the module names hyprig_bench's traced run replaces by span recorders
