@@ -206,13 +206,11 @@ def _run_ratio(args):
     p = load_preset(args.preset)
     phi = _map_from_arg(args, p.n)
     return p, phi, volume_ratio(p, phi, args.samples // args.simplices,
-                                args.seed, m=args.simplices,
-                                T=args.truncation)
+                                args.seed, m=args.simplices)
 
 
 def _diagnostics(est):
-    return {"ess_frac": est.ess_frac, "max_weight": est.max_weight,
-            "T": est.T}
+    return {"ess_frac": est.ess_frac, "max_weight": est.max_weight}
 
 
 def cmd_smear(args):
@@ -232,8 +230,7 @@ def cmd_smear(args):
             w.writerow(["samples", "lambda", "std_error", "bias_bound"])
             for frac in (8, 4, 2, 1):
                 n_i = max(args.samples // frac // args.simplices, 2)
-                li = volume_ratio(p, phi, n_i, args.seed, m=args.simplices,
-                                  T=args.truncation)
+                li = volume_ratio(p, phi, n_i, args.seed, m=args.simplices)
                 w.writerow([n_i * args.simplices, li.value, li.std_error,
                             li.bias_bound])
     _emit(payload, args)
@@ -244,7 +241,7 @@ def cmd_vol_of_rep(args):
     p = load_preset(args.preset)
     phi = _map_from_arg(args, p.n)
     est = vol_of_rep(p, phi, args.samples // args.simplices, args.seed,
-                     m=args.simplices, T=args.truncation)
+                     m=args.simplices)
     _emit({"vol_of_rep": est.value, "std_error": est.std_error,
            "bias_bound": est.bias_bound, "covolume": p.covolume,
            "diagnostics": _diagnostics(est)}, args)
@@ -338,13 +335,17 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_preset)
 
-    for name, fn in (("smear", cmd_smear), ("vol-of-rep", cmd_vol_of_rep)):
-        p = sub.add_parser(name)
+    for name, fn, about in (
+            ("smear", cmd_smear,
+             "lambda = Vol(rho)/Vol(M) by smearing the volume cocycle over "
+             "the whole quotient, cusp included (bias_bound 0)"),
+            ("vol-of-rep", cmd_vol_of_rep,
+             "Vol(rho) as lambda times the covolume, by the same smearing")):
+        p = sub.add_parser(name, help=about, description=about)
         p.add_argument("--preset", required=True)
         p.add_argument("--map", required=True)
         p.add_argument("--samples", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--truncation", type=float)
         p.add_argument("--simplices", type=int, default=8)
         p.add_argument("--csv")
         common(p)

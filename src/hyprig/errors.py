@@ -95,11 +95,6 @@ class PresetCorrupt(HyprigError):
     """Preset data failed a load-time verification check."""
 
 
-class BadTruncation(HyprigError):
-    """Truncation height not finite or not above the cusp floor, or one
-    that leaves a cell empty."""
-
-
 # -- smearing --------------------------------------------------------------
 
 class IllConditioned(HyprigError):

@@ -8,9 +8,9 @@ relators, face gluings and cell volumes are verified at load time.
 
 Sampling of the invariant probability measure on the quotient uses the
 decomposition of an isometry into (base point, frame): base points are
-importance-sampled in the truncated fundamental domain against the
+importance-sampled in the fundamental domain, cusp included, against the
 volume form, frames are Haar-uniform in O(n), and each sample carries a
-density-ratio weight whose batch average is the truncated mass.  The
+density-ratio weight whose batch average is 1.  The
 cells are drawn by inverse CDF and the feet as normalised exponential
 spacings, the very draws of Generator.choice and Generator.dirichlet;
 the frames are the Gram-Schmidt orthonormalisations of Gaussian
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadTruncation, PresetCorrupt, UnknownPreset
+from .errors import PresetCorrupt, UnknownPreset
 from .hypcore import (
     IdealPoint,
     Isometry,
@@ -38,13 +38,12 @@ from .hypcore import (
     identity_isometry,
     make_isometry,
 )
-from .volcocycle import circumsphere, v_n, vol
+from .volcocycle import v_n, vol
 
 RELATOR_TOL = 1e-8
 GLUING_TOL = 1e-8
 POLE_TOL = 1e-9
 PRESET_DIR_ENV = "HYPRIG_PRESET_DIR"
-BIAS_TARGET = 1e-3
 
 
 @dataclass(frozen=True)
@@ -135,6 +134,15 @@ def _resolve_word(generators, word) -> Isometry:
     return g
 
 
+def _circumsphere(W):
+    """Center and radius of the sphere through d+1 points of R^d."""
+    A = 2.0 * (W[1:] - W[0])
+    b = np.sum(W[1:] ** 2, axis=1) - np.sum(W[0] ** 2)
+    c = np.linalg.solve(A, b)
+    r = float(np.linalg.norm(W[0] - c))
+    return c, r
+
+
 def _chart_cell(points):
     """Project a cell with a vertex at the pole to its half-space base."""
     n = points[0].n
@@ -147,7 +155,7 @@ def _chart_cell(points):
                             "point at infinity")
     W = halfspace_chart(np.array([p.coords for i, p in enumerate(points)
                                   if i != apex[0]]))
-    center, radius = circumsphere(W)
+    center, radius = _circumsphere(W)
     d = n - 1
     area = abs(np.linalg.det((W[1:] - W[0]).T)) / math.factorial(d) \
         if d > 1 else abs(W[1, 0] - W[0, 0])
@@ -240,36 +248,6 @@ def load_preset(name: str) -> LatticePreset:
                          cusp_floor=floor, charts=charts, covolume=covol)
 
 
-def _check_truncation(preset: LatticePreset, T: float) -> None:
-    """Raise BadTruncation unless T is a finite height above the cusp
-    floor; the cusp volumes are then computed through T^{-d}, which
-    underflows where T^d would overflow."""
-    if not (math.isfinite(T) and T > preset.cusp_floor):
-        raise BadTruncation(f"T = {T} is not a finite height above the "
-                            f"cusp floor {preset.cusp_floor}")
-
-
-def truncation_error_bound(preset: LatticePreset, T: float) -> float:
-    """Bias bound for estimates on the T-truncated domain.
-
-    The cusp volume above height T is sum_cells area/((n-1) T^{n-1}),
-    analytic in half-space; since every integrand of interest is bounded
-    by v_n, the bias is at most v_n times the missing mass fraction.
-    """
-    _check_truncation(preset, T)
-    d = preset.n - 1
-    removed = preset.charts.area.sum() * T ** (-d) / d
-    return float(v_n(preset.n) * removed / preset.covolume)
-
-
-def default_truncation(preset: LatticePreset) -> float:
-    """Smallest truncation height with truncation_error_bound <= BIAS_TARGET."""
-    n = preset.n
-    T = (v_n(n) * preset.charts.area.sum()
-         / ((n - 1) * preset.covolume * BIAS_TARGET)) ** (1.0 / (n - 1))
-    return float(max(T, preset.cusp_floor * 1.01))
-
-
 def _haar_frames(G: np.ndarray) -> np.ndarray:
     """The orthogonal factors Q of G = QR (N, n, n) with positive R
     diagonal, by classical Gram-Schmidt run twice per column (CGS2).
@@ -286,16 +264,34 @@ def _haar_frames(G: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=2)
 
 
-def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
+def _frame_signs(Q: np.ndarray) -> np.ndarray:
+    """sign(det Q) of orthogonal frames Q (N, n, n), as +1 or -1: the
+    2x2 determinant at n = 2 and the triple product of the columns at
+    n = 3 (det Q = +-1 to rounding, so the sign is never in doubt), and
+    LAPACK's determinant for n >= 4."""
+    n = Q.shape[-1]
+    if n == 2:
+        det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] * Q[:, 1, 0]
+    elif n == 3:
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = np.moveaxis(Q, 0, -1)
+        det = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+               + a2 * (b0 * c1 - b1 * c0))
+    else:
+        det = np.linalg.det(Q)
+    return np.where(det > 0, 1, -1)
+
+
+def sample_haar(preset: LatticePreset, seed, N: int,
                 stream=None) -> HaarBatch:
     """Draw N weighted samples of the invariant measure on the quotient.
 
     Each sample is g = (transvection to a base point) o (frame rotation):
-    the base point is drawn in the T-truncated fundamental domain by
-    importance sampling (uniform over the cell base, analytic t^{-n}
-    height marginal), the frame is Haar-uniform in O(n).  The weight is
-    the density ratio, so weighted averages estimate integrals against
-    the invariant probability measure up to the truncation bias.
+    the base point is drawn in the fundamental domain by importance
+    sampling (a cell by its share of the covolume, a foot uniform on the
+    cell base, and the analytic t^{-n} height marginal up to infinity),
+    the frame is Haar-uniform in O(n).  The weight is the density ratio,
+    so weighted averages estimate integrals against the invariant
+    probability measure.
 
     ``(seed, stream)`` names one random stream: ``stream=None`` is the
     root ``SeedSequence(seed)``, an integer k is its child k (the one
@@ -311,15 +307,9 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
     single-stream batches; the geometry then runs once on all rows.
     """
     n = preset.n
-    if T is None:
-        T = default_truncation(preset)
-    _check_truncation(preset, T)
     d = n - 1
     ch = preset.charts
-    trunc_vols = ch.volume - ch.area * T ** (-d) / d
-    if np.any(trunc_vols <= 0):
-        raise BadTruncation("truncation leaves an empty cell")
-    p_cell = trunc_vols / trunc_vols.sum()
+    p_cell = ch.volume / preset.covolume
     # the cells by inverse CDF, as Generator.choice(p=p_cell) draws them
     cdf = p_cell.cumsum()
     cdf /= cdf[-1]
@@ -340,16 +330,18 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
     cells, lam, u, gauss = (np.concatenate(a) for a in zip(*draws))
     N = len(cells)
 
-    # base point: uniform foot x on the cell base, height t in [h, T]
-    # with density proportional to t^{-n}, h the floor sphere above x
+    # base point: uniform foot x on the cell base, height t in [h, oo)
+    # with density proportional to t^{-n}, h the floor sphere above x;
+    # 1 - u > 0, so t is finite
     x = np.einsum("ij,ijk->ik", lam, ch.base[cells])
     off = x - ch.center[cells]
     h2 = np.maximum(ch.radius[cells] ** 2 - np.einsum("ij,ij->i", off, off),
                     1e-300)
-    h = np.minimum(np.sqrt(h2), T)
-    t = (h ** (-d) - u * (h ** (-d) - T ** (-d))) ** (-1.0 / d)
-    intensity = (h ** (-d) - T ** (-d)) / d
-    weights = ch.area[cells] * intensity / (preset.covolume * p_cell[cells])
+    h = np.sqrt(h2)
+    t = h * (1.0 - u) ** (-1.0 / d)
+    # the density ratio: h^{-d}/d is the volume of the column over the
+    # foot, and volume/area the cell's mean column
+    weights = ch.area[cells] * h ** (-d) / (d * ch.volume[cells])
 
     # the base point (x, t) on the hyperboloid, as (y, y0)
     Y = halfspace_to_hyperboloid(x, t)
@@ -367,5 +359,5 @@ def sample_haar(preset: LatticePreset, seed, N: int, T: float = None,
     M[:, :n, n] = y
     M[:, n, :n] = yR
     M[:, n, n] = y0
-    signs = np.where(np.linalg.det(frames) > 0, 1, -1)
+    signs = _frame_signs(frames)
     return HaarBatch(matrices=M, signs=signs, weights=weights, cells=cells)

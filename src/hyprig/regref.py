@@ -10,9 +10,9 @@ walk it; `reference_vertices` caches the vertices of the reference
 simplex and `reference_walk` its walk, which `rigidity.consensus` moves
 onto each seed g.ref, since the walk of g.ref is g applied to it letter
 for letter.  A walk grows n-fold per letter, so each is held to
-MAX_WALK_SIZE simplices by default and refuses a deeper one with
-BudgetExceeded before it starts.  `density_probe` measures how well the
-words approximate a target.
+MAX_WALK_SIZE simplices by default (`walk_size` counts them) and refuses
+a deeper one with BudgetExceeded before it starts.  `density_probe`
+measures how well the words approximate a target.
 """
 
 from __future__ import annotations
@@ -94,6 +94,12 @@ def face_reflections(s: RegularSimplex):
     return out
 
 
+def walk_size(n: int, depth: int) -> int:
+    """Simplices in a reflection walk of depth letters in H^n, the root
+    included: n+1 words of length 1, each growing n-fold per letter."""
+    return 1 + sum((n + 1) * n ** k for k in range(depth))
+
+
 def reflection_walk(s: RegularSimplex, reflections, depth: int,
                     max_size: int = MAX_WALK_SIZE):
     """Breadth-first reflection words of s, given its face reflections.
@@ -106,12 +112,8 @@ def reflection_walk(s: RegularSimplex, reflections, depth: int,
     BudgetExceeded if it would hold more than max_size simplices, s
     included.
     """
-    size, level = 1, len(reflections)
-    for _ in range(depth):
-        size += level
-        level *= len(reflections) - 1
-        if size > max_size:
-            raise BudgetExceeded(f"walk would exceed {max_size} simplices")
+    if walk_size(len(reflections) - 1, depth) > max_size:
+        raise BudgetExceeded(f"walk would exceed {max_size} simplices")
     R = np.array([r.matrix for r in reflections])
     X = np.array([v.coords for v in s.base.vertices])
     letters = np.zeros((1, 0), dtype=np.int64)

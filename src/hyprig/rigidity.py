@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DegenerateSimplex,
     GeneratorCountMismatch,
     HyprigError,
@@ -44,8 +45,9 @@ from .hypcore import (Isometry, IdealPoint, _lorentz_stack,
                       act_ideal, act_ideal_many,  # noqa: F401
                       minkowski_matrix, null_lifts, random_isometries)
 from .lattice import LatticePreset
-from .regref import (RegularSimplex, face_reflections, reference_vertices,
-                     reference_walk, reflection_walk)
+from .regref import (MAX_WALK_SIZE, RegularSimplex, face_reflections,
+                     reference_vertices, reference_walk, reflection_walk,
+                     walk_size)
 from .volcocycle import is_regular, orientation_signs, regular_mask
 
 REGULARITY_TOL = 1e-9
@@ -251,11 +253,18 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
     applied to the cached reference walk; all seeds are reconstructed in
     one pass.  If that pass raises, the seeds are reconstructed again one
     by one, and the first that raises on its own raises its error: the
-    error of reconstructing the seeds one after the other."""
+    error of reconstructing the seeds one after the other.
+
+    The pass holds the levels of all m walks at once, so it raises
+    BudgetExceeded, before any level is mapped, when m walks would hold
+    more than MAX_WALK_SIZE simplices in all."""
     if m < 2:
         raise ValueError("consensus needs at least 2 seeds")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if m * walk_size(n, depth) > MAX_WALK_SIZE:
+        raise BudgetExceeded(f"{m} walks of depth {depth} would exceed "
+                             f"{MAX_WALK_SIZE} simplices")
     rng = np.random.default_rng(seed)
     G, _ = random_isometries(rng, n, m, max_translation=WINDOW)
     ref = reference_vertices(n)

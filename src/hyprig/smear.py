@@ -5,10 +5,11 @@ For a boundary map phi and an ideal simplex xi, the smearing integral
     integral over the quotient of  eps(g) Vol_n(phi(g xi_0), ..., phi(g xi_n))
 
 equals lambda times Vol_n(xi), where lambda = Vol(rho)/Vol(M) for the
-representation behind phi.  The estimator reports the stochastic error of
-the weighted sample mean and the deterministic cusp-truncation bias
-separately, because the rigidity threshold |lambda| = 1 sits exactly on
-the Milnor-Wood bound.
+representation behind phi.  The Haar samples cover the whole quotient,
+cusp included, so the estimate carries no deterministic bias: its
+bias_bound is 0, and its error is the stochastic error of the weighted
+sample mean.  That error is what decides the rigidity threshold
+|lambda| = 1, which sits exactly on the Milnor-Wood bound.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from .errors import IllConditioned
 # act_ideal is not called here; hyprig_bench's tracer patches
 # smear.act_ideal by name, so the name stays importable from this module.
 from .hypcore import act_ideal, act_ideal_many  # noqa: F401
-from .lattice import (
-    LatticePreset,
-    default_truncation,
-    sample_haar,
-    truncation_error_bound,
-)
+from .lattice import LatticePreset, sample_haar
 from .volcocycle import v_n, vol_batch
 
 VOLUME_FLOOR_FRACTION = 0.1
@@ -38,9 +34,9 @@ SIGMA_FLOOR = 1e-12
 class McEstimate:
     """A Monte-Carlo estimate with its error split, and the importance
     weight diagnostics: the effective sample size over the sample count,
-    (sum w)^2 / (N sum w^2), and the largest weight.  T is the cusp
-    truncation height the samples were drawn under; bias_bound is the
-    truncation bias at that height."""
+    (sum w)^2 / (N sum w^2), and the largest weight.  bias_bound is the
+    deterministic part of the error, 0 for the smearing estimates, whose
+    samples cover the whole quotient."""
 
     value: float
     std_error: float
@@ -49,7 +45,6 @@ class McEstimate:
     seed: object
     ess_frac: float = 1.0
     max_weight: float = 1.0
-    T: float = None
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ class RatioEstimate(McEstimate):
 SAMPLE_BLOCK = 4096
 
 
-def _smear_block(preset, phi, simplices, n_samples, seed, T, stream):
+def _smear_block(preset, phi, simplices, n_samples, seed, stream):
     """The weighted smearing values of a block of simplices (k, n+1, n),
     simplex i on the n_samples Haar samples of stream[i] (or, for k = 1,
     of the one stream ``stream``), as (k, N) values and (k, N) weights.
@@ -75,7 +70,7 @@ def _smear_block(preset, phi, simplices, n_samples, seed, T, stream):
     The k streams are drawn in one sample_haar call, and every sample's
     matrix acts on its simplex through one act_ideal_many."""
     k, n = simplices.shape[0], simplices.shape[-1]
-    batch = sample_haar(preset, seed, n_samples, T=T, stream=stream)
+    batch = sample_haar(preset, seed, n_samples, stream=stream)
     M = batch.matrices.reshape(k, n_samples, n + 1, n + 1)
     moved = act_ideal_many(M, simplices[:, None])  # (k, N, n+1, n)
     images = evaluate_many(phi, moved.reshape(-1, n))
@@ -97,21 +92,17 @@ def _row_stats(vals, w):
 
 
 def smear_integral(preset: LatticePreset, phi, xi, n_samples: int, seed,
-                   T: float = None, stream: int = None) -> McEstimate:
+                   stream: int = None) -> McEstimate:
     """Weighted Monte-Carlo estimate of the smearing integral at xi.
 
     Each sample g contributes w eps(g) Vol_n(phi(g xi_0), ..., phi(g xi_n));
     eps(g^{-1}) = eps(g)."""
     verts = np.array([v.coords for v in getattr(xi, "vertices", xi)])
-    if T is None:
-        T = default_truncation(preset)
     value, std_error, ess, max_w = _row_stats(*_smear_block(
-        preset, phi, verts[None], n_samples, seed, T, stream))
+        preset, phi, verts[None], n_samples, seed, stream))
     return McEstimate(value=float(value[0]), std_error=float(std_error[0]),
-                      bias_bound=truncation_error_bound(preset, T),
-                      n_samples=n_samples, seed=seed,
-                      ess_frac=float(ess[0]), max_weight=float(max_w[0]),
-                      T=float(T))
+                      bias_bound=0.0, n_samples=n_samples, seed=seed,
+                      ess_frac=float(ess[0]), max_weight=float(max_w[0]))
 
 
 def _random_test_simplices(rng, n: int, m: int, max_tries: int = 2000):
@@ -139,7 +130,7 @@ def _random_test_simplices(rng, n: int, m: int, max_tries: int = 2000):
 
 
 def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
-                 m: int = 8, T: float = None) -> RatioEstimate:
+                 m: int = 8) -> RatioEstimate:
     """Estimate lambda = Vol(rho)/Vol(M) by ratio-averaging.
 
     Each of m test simplices gives an independent estimate
@@ -156,15 +147,13 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
         raise ValueError("volume_ratio needs n_samples >= 2 per simplex for "
                          f"a standard error, got {n_samples}")
     n = preset.n
-    if T is None:
-        T = default_truncation(preset)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     simplices, denoms = _random_test_simplices(rng, n, m)
     # each group's statistics are taken before the next group is drawn,
     # so the samples of one group at a time are held, never all m streams
     group = max(1, SAMPLE_BLOCK // n_samples)
     stats = [_row_stats(*_smear_block(preset, phi, simplices[i:i + group],
-                                      n_samples, seed, T,
+                                      n_samples, seed,
                                       range(i, min(i + group, m))))
              for i in range(0, m, group)]
     value, std_error, ess, max_w = (np.concatenate(a) for a in zip(*stats))
@@ -172,18 +161,18 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
     scale = np.abs(denoms)
     lams = value / denoms
     sigs = np.maximum(std_error / scale, SIGMA_FLOOR)
-    biases = truncation_error_bound(preset, T) / scale
     wts = 1.0 / sigs**2
-    # pairwise agreement within 3 sigma plus both truncation biases
-    gap = 3.0 * np.hypot(sigs[:, None], sigs) + biases[:, None] + biases
+    # pairwise agreement within 3 sigma
+    gap = 3.0 * np.hypot(sigs[:, None], sigs)
     clash = np.abs(lams[:, None] - lams) > gap + 1e-12
     return RatioEstimate(
         value=float(np.sum(wts * lams) / np.sum(wts)),
-        std_error=float(np.sum(wts) ** -0.5), bias_bound=float(biases.max()),
+        std_error=float(np.sum(wts) ** -0.5), bias_bound=0.0,
         n_samples=n_samples * m, seed=seed, ess_frac=float(ess.min()),
-        max_weight=float(max_w.max()), T=float(T),
+        max_weight=float(max_w.max()),
         consistent=not np.any(np.triu(clash, 1)),
-        per_simplex=tuple(zip(lams.tolist(), sigs.tolist(), biases.tolist())))
+        per_simplex=tuple((lam, sig, 0.0) for lam, sig
+                          in zip(lams.tolist(), sigs.tolist())))
 
 
 def milnor_wood_check(est: McEstimate) -> dict:
@@ -198,12 +187,11 @@ def milnor_wood_check(est: McEstimate) -> dict:
 
 
 def vol_of_rep(preset: LatticePreset, phi, n_samples: int, seed,
-               m: int = 8, T: float = None) -> McEstimate:
+               m: int = 8) -> McEstimate:
     """Vol(rho) as lambda times the covolume, uncertainty propagated."""
-    lam = volume_ratio(preset, phi, n_samples, seed, m=m, T=T)
+    lam = volume_ratio(preset, phi, n_samples, seed, m=m)
     c = preset.covolume
     return McEstimate(value=lam.value * c, std_error=lam.std_error * c,
                       bias_bound=lam.bias_bound * c,
                       n_samples=lam.n_samples, seed=seed,
-                      ess_frac=lam.ess_frac, max_weight=lam.max_weight,
-                      T=lam.T)
+                      ess_frac=lam.ess_frac, max_weight=lam.max_weight)

@@ -126,22 +126,38 @@ def _coincident_rows(gaps2):
     return np.any(gaps2 < COINCIDENCE_TOL ** 2, axis=1)
 
 
-def _coincident_pair(points) -> bool:
-    P = np.array([p.coords for p in points])[None]
-    return bool(_coincident_rows(_pair_gaps2(P))[0])
+def _signs(P, dets) -> np.ndarray:
+    """Orientations of the vertex orders P (N, n+1, n) from the
+    determinants of their null lifts: the sign of det, 0 where two
+    vertices coincide or below the degeneracy cut
 
+        |det|^n <= DEGENERATE_DET_TOL^n prod_{i<j} |xi_i - xi_j|^2.
 
-def _signs(dets) -> np.ndarray:
-    """Orientations from null-lift determinants, 0 below the degeneracy cut."""
-    return np.where(np.abs(dets) < DEGENERATE_DET_TOL, 0,
-                    np.sign(dets)).astype(int)
+    The ratio |det| / prod |xi_i - xi_j|^(2/n) is unchanged by every
+    isometry up to the orientation character: it is exactly 1/2 for an
+    ideal triangle, so no triangle is flat, and for n >= 3 it goes to 0
+    as a simplex flattens but not as it shrinks.  Every gap is at most 2,
+    so only rows with |det| <= tol 2^(n+1) can fall below the cut, and
+    the gaps are taken on those rows alone."""
+    n = P.shape[-1]
+    size = np.abs(dets)
+    signs = np.sign(dets).astype(int)
+    near = np.flatnonzero(size <= DEGENERATE_DET_TOL * 2.0 ** (n + 1))
+    if len(near):
+        gaps2 = _pair_gaps2(P[near])
+        flat = (size[near] ** n
+                <= DEGENERATE_DET_TOL ** n * np.prod(gaps2, axis=1))
+        signs[near[flat | _coincident_rows(gaps2)]] = 0
+    return signs
 
 
 def orientation_signs(P) -> np.ndarray:
     """Orientations of N vertex orders P (N, n+1, n): the sign of det of
-    the null lifts, 0 below the degeneracy cut, where the points lie on
-    the boundary sphere of a hyperplane (the straightened simplex is flat)."""
-    return _signs(np.linalg.det(null_lifts(P)))
+    the null lifts, 0 where two vertices coincide or below the degeneracy
+    cut of `_signs`, where the points lie on the boundary sphere of a
+    hyperplane (the straightened simplex is flat)."""
+    P = np.asarray(P, dtype=float)
+    return _signs(P, np.linalg.det(null_lifts(P)))
 
 
 def orientation_sign(simplex) -> int:
@@ -158,11 +174,8 @@ def orientation_sign(simplex) -> int:
 def vol2_batch(P) -> np.ndarray:
     """Signed areas of N ideal triangles, P of shape (N, 3, 2): exactly
     +pi or -pi by cyclic orientation, exactly 0 when two vertices
-    coincide or the null-lift determinant is below the degeneracy cut."""
-    P = np.asarray(P, dtype=float)
-    out = math.pi * orientation_signs(P)
-    out[_coincident_rows(_pair_gaps2(P))] = 0.0
-    return out
+    coincide."""
+    return math.pi * orientation_signs(P)
 
 
 def vol2(simplex) -> VolumeResult:
@@ -277,7 +290,7 @@ def vol4_batch(P):
     G = D^-1 the Gram matrix of the facet normals, so the dihedral angles
     have cos theta_ij = -G_ij/sqrt(G_ii G_jj), and
     Vol = eps (pi/3) |4 pi - sum_{i<j} theta_ij|, eps = `orientation_signs`.
-    Flat simplices (eps = 0) and coincident vertices give exactly 0.
+    Flat simplices and coincident vertices (eps = 0) give exactly 0.
 
     D^-1 is not formed: its condition grows like 1/det(lifts)^2, and near
     flat simplices it loses every digit.  With C the cofactors of D,
@@ -300,9 +313,9 @@ def vol4_batch(P):
     P = np.asarray(P, dtype=float)
     lifts = null_lifts(P)
     det = np.linalg.det(lifts)
-    eps = _signs(det)
+    eps = _signs(P, det)
+    live = eps != 0
     gaps2 = _pair_gaps2(P)
-    live = (eps != 0) & ~_coincident_rows(gaps2)
     D = np.zeros((len(P), 5, 5))
     D[:, _EDGE_I, _EDGE_J] = D[:, _EDGE_J, _EDGE_I] = -0.5 * gaps2
     # the dead rows compute the regular simplex, then are set to 0
@@ -366,31 +379,24 @@ def _chart_points(points, apex):
                                      if i != apex]))
 
 
-def circumsphere(W):
-    """Center and radius of the sphere through d+1 points of R^d."""
-    A = 2.0 * (W[1:] - W[0])
-    b = np.sum(W[1:] ** 2, axis=1) - np.sum(W[0] ** 2)
-    c = np.linalg.solve(A, b)
-    r = float(np.linalg.norm(W[0] - c))
-    return c, r
-
-
 def voln(simplex, tol: float = 1e-6,
          max_evals: int = 2_000_000) -> VolumeResult:
     """Signed volume of the straightened ideal simplex by quadrature: the
     oracle for the exact evaluators, with which it shares only the
-    orientation sign and the coincidence test.
+    orientation sign, coincidence test included.
 
     The vertex best separated from the others is rotated to the pole and
     sent to infinity in the upper half-space model, where the vertical
     integral of the volume form is analytic; what remains is the integral
-    of (r^2 - |x - c|^2)^{-(n-1)/2} over the Euclidean base simplex, with
-    (c, r) the circumsphere of the base vertices.
+    of h^{-(n-1)} over the Euclidean base simplex W, h the height of the
+    circumsphere of W over the base.  At barycentric coordinates lam,
+    h^2 = sum_{i<j} lam_i lam_j |W_i - W_j|^2, which stays accurate where
+    r^2 - |x - c|^2 would cancel (near-flat simplices, whose base is thin
+    and circumsphere huge), so the integral is taken over the standard
+    simplex in lam and scaled by the base's |det(W_i - W_0)|.
     """
     points = _vertex_list(simplex)
     n = len(points) - 1
-    if _coincident_pair(points):
-        return VolumeResult(0.0, 0.0, "quadrature")
     if n < 2 or n > 4:
         raise UnsupportedDimension(f"quadrature evaluator covers n = 2..4, got {n}")
     sign = orientation_sign(points)
@@ -405,17 +411,22 @@ def voln(simplex, tol: float = 1e-6,
                         for j, q in enumerate(points) if j != i))
     apex = int(np.argmax(gaps))
     W = _chart_points(points, apex)
-    c, r = circumsphere(W)
     d = n - 1
+    D = np.sum((W[:, None] - W[None]) ** 2, axis=-1)
+    # x = (lam_1, ..., lam_d) and lam_0 = 1 - sum x turn the sum for h^2
+    # into the quadratic x.g0 + x^T Q x
+    g0 = D[0, 1:]
+    Q = 0.5 * (D[1:, 1:] - g0[:, None] - g0[None, :])
+    jac = abs(np.linalg.det(W[1:] - W[0]))
 
     def integrand(X):
-        diff = X - c
-        h2 = r * r - np.einsum("ij,ij->i", diff, diff)
-        return np.maximum(h2, 1e-300) ** (-0.5 * d)
+        XT = X.T
+        h2 = np.einsum("in,in->n", Q @ XT + g0[:, None], XT)
+        return jac * np.maximum(h2, 1e-300) ** (-0.5 * d)
 
     value, err, evals = integrate_simplex(
-        integrand, W, [True] * (d + 1), tol=tol * (n - 1),
-        max_evals=max_evals)
+        integrand, np.vstack([np.zeros(d), np.eye(d)]), [True] * (d + 1),
+        tol=tol * (n - 1), max_evals=max_evals)
     return VolumeResult(sign * value / (n - 1), err / (n - 1), "quadrature")
 
 

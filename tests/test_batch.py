@@ -16,7 +16,7 @@ from hyprig.boundary import make_boundary_map
 from hyprig.errors import DimensionMismatch
 from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many,
                             halfspace_to_hyperboloid, random_isometry)
-from hyprig.lattice import default_truncation, load_preset, sample_haar
+from hyprig.lattice import load_preset, sample_haar
 from hyprig.smear import (SAMPLE_BLOCK, SIGMA_FLOOR, RatioEstimate,
                           _random_test_simplices, smear_integral,
                           volume_ratio)
@@ -61,7 +61,7 @@ def test_smear_integral_matches_per_sample_formula(presets, name, kind):
     N, seed, stream = 300, 17, 2
     est = smear_integral(p, phi, verts, N, seed, stream=stream)
 
-    batch = sample_haar(p, seed, N, T=default_truncation(p), stream=stream)
+    batch = sample_haar(p, seed, N, stream=stream)
     vals = [s.weight * s.g.sign
             * vol([phi(act_ideal(s.g, v)) for v in verts]).value
             for s in batch]
@@ -75,13 +75,12 @@ def test_smear_integral_matches_per_sample_formula(presets, name, kind):
 def reference_volume_ratio(p, phi, n_samples, seed, m):
     """volume_ratio as m separate smear_integral calls, one per test
     simplex on its own stream, combined by explicit loops."""
-    T = default_truncation(p)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     simplices, denoms = _random_test_simplices(rng, p.n, m)
     per, ests = [], []
     for i, (pts, denom) in enumerate(zip(simplices, denoms)):
         est = smear_integral(p, phi, [IdealPoint(x) for x in pts],
-                             n_samples, seed, T=T, stream=i)
+                             n_samples, seed, stream=i)
         per.append((est.value / denom,
                     max(est.std_error / abs(denom), SIGMA_FLOOR),
                     est.bias_bound / abs(denom)))
@@ -99,7 +98,7 @@ def reference_volume_ratio(p, phi, n_samples, seed, m):
         std_error=float(np.sum(wts) ** -0.5), bias_bound=float(max(biases)),
         n_samples=n_samples * m, seed=seed,
         ess_frac=min(e.ess_frac for e in ests),
-        max_weight=max(e.max_weight for e in ests), T=T,
+        max_weight=max(e.max_weight for e in ests),
         consistent=consistent, per_simplex=tuple(per))
 
 
@@ -264,13 +263,14 @@ def test_vol2_batch_exact():
     same = P.copy()
     same[:, 2] = same[:, 0]
     assert np.all(vol2_batch(same) == 0.0)
-    # a gap above the coincidence cut but with a flat null-lift
-    # determinant is flat too
+    # a gap of 1e-11 is above the coincidence cut, and the triangle is a
+    # genuine ideal one however small its null-lift determinant: vertex
+    # 1 sits just counterclockwise of vertex 0
     close = P.copy()
     close[:, 1] = close[:, 0] + 1e-11 * np.stack(
         [-close[:, 0, 1], close[:, 0, 0]], axis=1)
     close[:, 1] /= np.linalg.norm(close[:, 1], axis=1, keepdims=True)
-    assert np.all(vol2_batch(close) == 0.0)
+    assert np.all(vol2_batch(close) == math.pi)
 
 
 def test_vol_batch_matches_vol_bit_for_bit_n4():
@@ -325,10 +325,11 @@ def test_sample_haar_stream_sequence_stacks_single_streams(presets, name):
 def _numpy_draws(p, seed, N, stream):
     """The cells, weights, Gaussian frame blocks and generator of one
     stream, drawn with Generator.choice and Generator.dirichlet, and the
-    weights by the density-ratio formula written out."""
-    n, d, ch, T = p.n, p.n - 1, p.charts, default_truncation(p)
-    trunc = ch.volume - ch.area / (d * T ** d)
-    p_cell = trunc / trunc.sum()
+    weights as the density ratio written out: the invariant density over
+    the foot, area h^{-d}/d over the covolume, against the chance
+    p_cell of the foot's cell."""
+    n, d, ch = p.n, p.n - 1, p.charts
+    p_cell = ch.volume / ch.volume.sum()
     rng = np.random.default_rng(np.random.SeedSequence(
         seed, spawn_key=() if stream is None else (stream,)))
     cells = rng.choice(len(p_cell), size=N, p=p_cell)
@@ -339,9 +340,8 @@ def _numpy_draws(p, seed, N, stream):
     off = x - ch.center[cells]
     h2 = np.maximum(ch.radius[cells] ** 2 - np.einsum("ij,ij->i", off, off),
                     1e-300)
-    h = np.minimum(np.sqrt(h2), T)
-    intensity = (h ** (-d) - T ** (-d)) / d
-    weights = ch.area[cells] * intensity / (p.covolume * p_cell[cells])
+    h = np.sqrt(h2)
+    weights = ch.area[cells] * h ** (-d) / d / p.covolume / p_cell[cells]
     return cells, weights, gauss, rng
 
 
@@ -350,8 +350,9 @@ def test_sample_haar_draws_are_numpys_choice_and_dirichlet(
         presets, name, monkeypatch):
     """sample_haar's inverse-CDF cells and exponential-spacing feet are
     the draws of Generator.choice(p=...) and Generator.dirichlet(ones),
-    bit for bit, and leave the generator in the same state; its frames
-    have the orientations of the Gaussian blocks' QR frames."""
+    bit for bit, and leave the generator in the same state; its weights
+    are the density ratio to rounding, and its frames have the
+    orientations of the Gaussian blocks' QR frames."""
     p = presets[name]
     made = []
     default_rng = np.random.default_rng
@@ -370,7 +371,7 @@ def test_sample_haar_draws_are_numpys_choice_and_dirichlet(
         cells, weights, gauss = (np.concatenate(a)
                                  for a in zip(*(r[:3] for r in refs)))
         assert np.array_equal(batch.cells, cells)
-        assert np.array_equal(batch.weights, weights)
+        assert np.allclose(batch.weights, weights, rtol=1e-13, atol=0.0)
         assert [g.random() for g in rngs] == [r[3].random() for r in refs]
         Q, R = np.linalg.qr(gauss)
         frames = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]

@@ -8,7 +8,6 @@ from hyprig.boundary import make_boundary_map, map_to_json, measure_to_json
 from hyprig.boundary import BoundaryMeasure
 from hyprig.cli import run
 from hyprig.hypcore import IdealPoint, mink, random_isometry
-from hyprig.lattice import default_truncation, load_preset
 from hyprig.regref import reference_regular
 from hyprig.volcocycle import V3
 
@@ -359,34 +358,16 @@ def test_config_echo_holds_only_parsed_flags(capsys):
 
 
 @pytest.mark.parametrize("command", ["smear", "vol-of-rep"])
-def test_estimates_report_their_truncation_height(capsys, command):
+def test_estimates_cover_the_cusp_with_no_height_to_choose(capsys, command):
     base = [command, "--preset", "test_reflection_2d", "--map",
             "planted-identity", "--samples", "64", "--seed", "3"]
     code, out = run_json(capsys, base)
     assert code == 0
-    assert out["diagnostics"]["T"] == default_truncation(
-        load_preset("test_reflection_2d"))
-    code, out = run_json(capsys, base + ["--truncation", "250"])
-    assert code == 0
-    assert out["diagnostics"]["T"] == 250.0
-
-
-@pytest.mark.parametrize("T", ["nan", "inf", "0.5773502691896257"])
-def test_truncation_not_finite_above_the_cusp_floor_exits_1(capsys, T):
-    code = run(["smear", "--preset", "figure_eight_3d", "--map",
-                "planted-identity", "--samples", "64", "--seed", "1",
-                "--truncation", T])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert json.loads(captured.err)["error"] == "BadTruncation"
-
-
-def test_huge_truncation_gives_valid_json(capsys):
-    code, out = run_json(capsys, ["smear", "--preset", "figure_eight_3d",
-                                  "--map", "planted-identity", "--samples",
-                                  "64", "--seed", "1", "--truncation", "1e200"])
-    assert code == 0
-    assert out["diagnostics"]["T"] == 1e200 and out["bias_bound"] == 0.0
+    assert out["bias_bound"] == 0.0
+    assert set(out["diagnostics"]) == {"ess_frac", "max_weight"}
+    with pytest.raises(SystemExit) as exc:
+        run(base + ["--truncation", "100"])
+    assert exc.value.code == 2
 
 
 def test_every_payload_echoes_the_versions(capsys):

@@ -1,19 +1,12 @@
 import json
-import math
 import os
 
 import numpy as np
 import pytest
 
-from hyprig.errors import BadTruncation, PresetCorrupt, UnknownPreset
-from hyprig.lattice import (
-    _haar_frames,
-    default_truncation,
-    load_preset,
-    sample_haar,
-    truncation_error_bound,
-)
-from hyprig.volcocycle import V2, V3, v_n, vol
+from hyprig.errors import PresetCorrupt, UnknownPreset
+from hyprig.lattice import _frame_signs, _haar_frames, load_preset, sample_haar
+from hyprig.volcocycle import V2, V3, vol
 
 
 def test_unknown_preset():
@@ -85,37 +78,6 @@ def test_preset_rejects_broken_relator(tmp_path):
         del os.environ["HYPRIG_PRESET_DIR"]
 
 
-def test_truncation_bound_decay():
-    p = load_preset("figure_eight_3d")
-    b1 = truncation_error_bound(p, 10.0)
-    b2 = truncation_error_bound(p, 20.0)
-    assert b1 > b2 > 0
-    # n = 3 cusp volume decays as T^-2
-    assert abs(b1 / b2 - 4.0) < 1e-9
-    T = default_truncation(p)
-    assert truncation_error_bound(p, T) <= 1e-3 + 1e-12
-    assert T > p.cusp_floor
-
-
-@pytest.mark.parametrize("T", [0.5, "floor", math.nan, math.inf, -math.inf])
-def test_bad_truncation(T):
-    p = load_preset("figure_eight_3d")
-    T = p.cusp_floor if T == "floor" else T
-    with pytest.raises(BadTruncation):
-        sample_haar(p, 1, 10, T=T)
-    with pytest.raises(BadTruncation):
-        truncation_error_bound(p, T)
-
-
-@pytest.mark.parametrize("name", ["figure_eight_3d", "test_reflection_2d"])
-def test_huge_truncation_keeps_the_whole_cusp(name):
-    # T^d overflows a float at d = 2; the cusp mass T^{-d} only underflows
-    p = load_preset(name)
-    assert 0.0 <= truncation_error_bound(p, 1e200) < 1e-190
-    b = sample_haar(p, 1, 64, T=1e200)
-    assert all(np.all(np.isfinite(a)) for a in (b.matrices, b.weights))
-
-
 def test_sampler_reproducible():
     p = load_preset("figure_eight_3d")
     a = sample_haar(p, 42, 50)
@@ -129,26 +91,15 @@ def test_sampler_reproducible():
     assert not np.array_equal(a[0].g.matrix, d[0].g.matrix)
 
 
-def test_sampler_weights_average_to_truncated_mass():
-    p = load_preset("figure_eight_3d")
-    T = default_truncation(p)
-    samples = sample_haar(p, 7, 20000, T=T)
-    w = np.array([s.weight for s in samples])
-    # missing mass fraction, recovered from the bias bound
-    frac = truncation_error_bound(p, T) / v_n(3)
-    target = 1.0 - frac
+@pytest.mark.parametrize("name", ["figure_eight_3d", "test_reflection_2d"])
+def test_sampler_weights_average_to_one(name):
+    # the samples cover the whole quotient, cusp included, so the
+    # density ratios average to the total mass 1
+    p = load_preset(name)
+    w = sample_haar(p, 7, 20000).weights
+    assert np.all(np.isfinite(w)) and np.all(w > 0)
     se = w.std(ddof=1) / np.sqrt(len(w))
-    assert abs(w.mean() - target) < 3 * se + 1e-12
-
-
-def test_sampler_weights_2d():
-    p = load_preset("test_reflection_2d")
-    T = 30.0
-    samples = sample_haar(p, 11, 20000, T=T)
-    w = np.array([s.weight for s in samples])
-    frac = truncation_error_bound(p, T) / v_n(2)
-    se = w.std(ddof=1) / np.sqrt(len(w))
-    assert abs(w.mean() - (1.0 - frac)) < 3 * se + 1e-12
+    assert abs(w.mean() - 1.0) < 3 * se
 
 
 def _lapack_frames(G):
@@ -189,6 +140,16 @@ def test_gram_schmidt_frames_match_lapack_qr(n):
         check((U * s) @ np.swapaxes(V, 1, 2), False)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frame_signs_match_lapack_det(n):
+    # the closed-form signs at n = 2, 3 are LAPACK's, frame for frame
+    rng = np.random.default_rng(60 + n)
+    Q = _haar_frames(rng.standard_normal((100_000, n, n)))
+    signs = _frame_signs(Q)
+    assert np.array_equal(signs, np.where(np.linalg.det(Q) > 0, 1, -1))
+    assert signs.min() == -1 and signs.max() == 1
+
+
 def test_sampler_frames_cover_both_orientations():
     p = load_preset("figure_eight_3d")
     samples = sample_haar(p, 5, 200)
@@ -200,15 +161,13 @@ def test_sample_points_lie_in_domain():
     from hyprig.hypcore import convert
 
     p = load_preset("figure_eight_3d")
-    T = default_truncation(p)
-    for s in sample_haar(p, 3, 200, T=T):
+    for s in sample_haar(p, 3, 200):
         x = s.g.matrix[:, -1]  # image of the basepoint
         hs = convert(x / np.sqrt(-float(x[:3] @ x[:3] - x[3] ** 2)),
                      "hyperboloid", "halfspace")
         ch = p.charts[s.cell]
-        # height between the cell's floor sphere and the truncation
+        # height above the cell's floor sphere
         h2 = ch.radius ** 2 - np.dot(hs[:2] - ch.center, hs[:2] - ch.center)
-        assert hs[2] <= T + 1e-9
         assert hs[2] ** 2 >= max(h2, 0.0) - 1e-9
         # foot inside the base triangle
         lam = np.linalg.solve(

@@ -31,8 +31,9 @@ from hyprig.hypcore import (
     random_isometry,
 )
 from hyprig.lattice import load_preset
-from hyprig.regref import (RegularSimplex, orbit, reference_regular,
-                           reference_vertices)
+from hyprig.regref import (MAX_WALK_SIZE, RegularSimplex, face_reflections,
+                           orbit, reference_regular, reference_vertices,
+                           reflection_walk, walk_size)
 from hyprig.rigidity import (
     _pair_isometries,
     consensus,
@@ -604,6 +605,31 @@ def test_walk_budget_refuses_deep_reconstructions():
         consensus(phi, 3, m=2, depth=30)
     with pytest.raises(BudgetExceeded):
         reconstruct_isometry(phi, reference_regular(3, 1), depth=30)
+
+
+def test_consensus_budget_counts_all_seeds_walks():
+    # 8 walks of depth 9 at n = 3 hold 8 * 39 365 simplices, past the
+    # budget; 2 of them fit, and run
+    assert walk_size(3, 9) == 39_365
+    assert 2 * walk_size(3, 9) <= MAX_WALK_SIZE < 8 * walk_size(3, 9)
+    mapped = []
+
+    def phi(p):
+        mapped.append(p)
+        return p
+
+    with pytest.raises(BudgetExceeded):
+        consensus(phi, 3, m=8, depth=9)
+    assert mapped == []
+    h = consensus(planted(identity_isometry(3)), 3, m=2, depth=9)
+    assert np.max(np.abs(h.matrix - np.eye(4))) < 1e-9
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_walk_size_counts_the_walk(n):
+    ref = reference_regular(n, 1)
+    levels = reflection_walk(ref, face_reflections(ref), 4)
+    assert walk_size(n, 4) == 1 + sum(len(letters) for letters, _, _ in levels)
 
 
 # the module names hyprig_bench's traced run replaces by span recorders

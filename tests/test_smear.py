@@ -5,15 +5,17 @@ from hyprig.boundary import make_boundary_map
 from hyprig.errors import IllConditioned
 from hyprig.hypcore import IdealPoint, act_ideal, identity_isometry, random_isometry
 from hyprig.lattice import load_preset
+from hyprig.regref import reference_vertices
 from hyprig.smear import (
     McEstimate,
     _random_test_simplices,
+    _smear_block,
     milnor_wood_check,
     smear_integral,
     vol_of_rep,
     volume_ratio,
 )
-from hyprig.volcocycle import V3, vol
+from hyprig.volcocycle import V3, v_n, vol
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,21 @@ def test_smear_identity_recovers_volume(fig8):
     target = vol(pts).value
     assert abs(est.value - target) < 3 * est.std_error + est.bias_bound
     assert est.n_samples == 4000
+
+
+@pytest.mark.parametrize("name", ["figure_eight_3d", "test_reflection_2d"])
+def test_cusp_sweep_misclassifies_no_volume(name):
+    """2 * 10^5 samples of the planted identity on the reference simplex,
+    drawn up to infinite height: every sample's simplex keeps the volume
+    +-v_n, however far up the cusp (heights past 10^4 at n = 2, where
+    absolute degeneracy cuts called genuine triangles flat)."""
+    p = load_preset(name)
+    phi = planted(identity_isometry(p.n))
+    ref = reference_vertices(p.n)[None]
+    for seed in range(4):
+        vals, w = _smear_block(p, phi, ref, 50_000, seed, None)
+        assert np.all(w > 0) and np.all(np.isfinite(w))
+        assert np.allclose(np.abs(vals / w), v_n(p.n), rtol=1e-12, atol=0.0)
 
 
 def test_smear_degenerate_simplex_is_exactly_zero(fig8):

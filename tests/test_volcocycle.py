@@ -12,7 +12,8 @@ from hyprig.errors import (
     QuadratureBudgetExceeded,
     UnsupportedDimension,
 )
-from hyprig.hypcore import IdealPoint, act_ideal, random_isometry
+from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many, null_lifts,
+                            random_isometry)
 from hyprig.regref import reference_regular
 from hyprig.volcocycle import (
     V2,
@@ -205,9 +206,15 @@ def test_orientation_sign_concyclic_zero():
 
 
 def _det_sign(P):
-    # orientation by the scalar formula: sign of det of the lifts (xi, 1)
+    # orientation by the scalar formula: sign of det of the lifts (xi, 1),
+    # 0 where two vertices are within 1e-12 or where
+    # |det| <= 1e-9 prod_{i<j} |xi_i - xi_j|^(2/n)
+    n = P.shape[1]
     d = float(np.linalg.det(np.hstack([P, np.ones((len(P), 1))])))
-    return 0 if abs(d) < 1e-9 else (1 if d > 0 else -1)
+    gaps = [math.dist(x, y) for x, y in itertools.combinations(P, 2)]
+    if min(gaps) < 1e-12 or abs(d) <= 1e-9 * math.prod(gaps) ** (2.0 / n):
+        return 0
+    return 1 if d > 0 else -1
 
 
 def test_orientation_signs_batch():
@@ -229,6 +236,35 @@ def test_orientation_signs_batch():
         assert not np.any(signs[200:])
         assert [orientation_sign([IdealPoint(v) for v in x]) for x in P] \
             == list(signs[:200])
+
+
+def _cluster(rng, n, gap):
+    """n+1 points of S^{n-1} within about gap of a random point."""
+    c = rng.standard_normal(n)
+    c /= np.linalg.norm(c)
+    W = rng.standard_normal((n + 1, n))
+    W -= np.outer(W @ c, c)
+    P = c + gap * W
+    return P / np.linalg.norm(P, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_orientation_signs_equivariant_down_to_small_gaps(n):
+    """The degeneracy cut is scale-free: simplices shrunk to vertex gaps
+    of 1e-6, most of them below an absolute cut |det| < 1e-9, keep their
+    orientations, and every isometry multiplies those by its orientation
+    character."""
+    rng = np.random.default_rng(70 + n)
+    P = np.array([_cluster(rng, n, 10.0 ** -k)
+                  for k in range(7) for _ in range(30)])
+    signs = orientation_signs(P)
+    assert np.all(signs != 0)
+    assert np.mean(np.abs(np.linalg.det(null_lifts(P))) < 1e-9) > 0.5
+    for _ in range(10):
+        g = random_isometry(rng, n, max_translation=1.5,
+                            orientation=int(rng.choice((1, -1))))
+        moved = act_ideal_many(g.matrix, P)
+        assert np.array_equal(orientation_signs(moved), g.sign * signs)
 
 
 def test_voln_matches_vol3():
@@ -547,3 +583,39 @@ def test_vol_batch_equivariance_property(n, data):
     assume(_clear_of_the_cut(np.array([X, moved])))
     values = vol_batch(np.array([X, moved]))
     assert abs(values[1] - g.sign * values[0]) <= _TOL[n]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.lists(_COORD, min_size=3, max_size=3),
+                min_size=4, max_size=4),
+       st.one_of(st.none(), st.integers(1, 12)))
+def test_vol3_matches_voln_property(rows, flatness):
+    """vol3 against the quadrature oracle on generated tetrahedra; with
+    flatness = k the vertices are first put on a circle of S^2 and the
+    last is moved off it by 10^-k, so near-flat ones are included."""
+    P = _points(rows)
+    if flatness is not None:
+        u = np.array([0.6, 0.0, 0.8])
+        W = P - np.outer(P @ u, u)
+        assume(np.all(np.linalg.norm(W, axis=1) > 0.1))
+        P = 0.3 * u + math.sqrt(0.91) * W / np.linalg.norm(
+            W, axis=1, keepdims=True)
+        P[3] += 10.0 ** -flatness * u
+        P[3] /= np.linalg.norm(P[3])
+    gaps = [math.dist(x, y) for x, y in itertools.combinations(P, 2)]
+    assume(min(gaps) > 1e-3)
+    pts = [IdealPoint(x) for x in P]
+    try:
+        q = voln(pts, tol=1e-7)
+    except QuadratureBudgetExceeded:
+        # the oracle gave no answer, which says nothing about vol3
+        assume(False)
+    value = vol3(pts).value
+    # the oracle reaches its target to about twice its tolerance
+    assert abs(value - q.value) <= 2e-7 + q.abs_error
+    if q.value == 0.0:
+        # the oracle's zero is the degeneracy cut: a flat simplex
+        assert abs(value) < 1e-7
+    else:
+        assert abs(value) < 2e-7 + q.abs_error or \
+            np.sign(value) == np.sign(q.value)
