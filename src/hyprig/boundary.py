@@ -3,9 +3,10 @@
 The measure side carries the two tools of the atom/no-atom case split:
 `dominant_atom` reports a unique atom of mass at least 1/2 when there is
 one, and `conformal_barycenter` solves the Douady-Earle vector-field
-equation when there is none.  The map side packages the boundary maps the
-smearing and rigidity machinery consumes: planted isometries, smooth
-seeded perturbations of them, tabulated samples and constants.
+equation when there is none, by damped Newton on atoms moved so that
+every step is taken at the origin.  The map side packages the boundary
+maps the smearing and rigidity machinery consumes: planted isometries,
+smooth seeded perturbations of them, tabulated samples and constants.
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ from .hypcore import (
     SpacePoint,
     act_ideal,
     act_ideal_many,
-    act_point,
-    basepoint,
     convert,
     make_isometry,
-    translation_to,
 )
 
 MEASURE_TOL = 1e-12
@@ -82,105 +80,64 @@ def _atom_arrays(mu: BoundaryMeasure):
             np.array([w for _, w in mu.atoms]))
 
 
-def _gamma_field(X: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The conformal vector field V(x) = sum w_i gamma_x(xi_i) in ball
-    coordinates of the measure with atoms X (k, n) and weights w (k,),
-    gamma_x the canonical Moebius map taking x to the origin.
-
-    On the sphere gamma_x(xi) = (1 - |x|^2) D / |D|^2 - x with D = xi - x,
-    so V(x) = (1 - |x|^2) sum w_i D_i / q_i - x, q_i = |D_i|^2."""
-    D = X - x
-    s = (w / np.einsum("ij,ij->i", D, D)) @ D
-    return (1.0 - x @ x) * s - x
+def _gamma(eta: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The points eta (k, n) of the sphere moved by gamma_s, the canonical
+    Moebius map taking s to the origin:
+    gamma_s(eta) = (1 - |s|^2) D / |D|^2 - s with D = eta - s."""
+    D = eta - s
+    return (1.0 - s @ s) / np.einsum("ij,ij->i", D, D)[:, None] * D - s
 
 
-def _gamma_jacobian(X: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The Jacobian of `_gamma_field` at x, with s = sum w_i D_i / q_i:
-    (1 - |x|^2)(2 sum w_i D_i D_i^T / q_i^2 - sum w_i / q_i I) - 2 s x^T - I."""
-    D = X - x
-    q = np.einsum("ij,ij->i", D, D)
-    eye = np.eye(len(x))
-    inner = 2.0 * (D.T * (w / q ** 2)) @ D - np.sum(w / q) * eye
-    return (1.0 - x @ x) * inner - 2.0 * np.outer((w / q) @ D, x) - eye
-
-
-def _newton_step(X, w, x, v, res):
-    """A damped Newton step on the field from x, where it is v with norm
-    res: the step is halved until the field norm decreases and the iterate
-    stays in the open ball.  Returns the new (x, v, res), or None when 40
-    halvings find no decrease."""
-    try:
-        step = np.linalg.solve(_gamma_jacobian(X, w, x), -v)
-    except np.linalg.LinAlgError:
-        step = -v
-    for _ in range(40):
-        cand = x + step
-        if np.dot(cand, cand) < 1.0 - 1e-12:
-            vc = _gamma_field(X, w, cand)
-            if np.linalg.norm(vc) < res:
-                return cand, vc, np.linalg.norm(vc)
-        step *= 0.5
-    return None
+def _mobius_add(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a + z in the Poincare ball: the canonical translation taking the
+    origin to a, applied to z."""
+    az, aa, zz = a @ z, a @ a, z @ z
+    num = (1.0 + 2.0 * az + zz) * a + (1.0 - aa) * z
+    return num / (1.0 + 2.0 * az + aa * zz)
 
 
 def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10) -> SpacePoint:
     """The unique zero of the conformal vector field of the measure.
 
-    Damped Newton on ball coordinates with the exact Jacobian.  Requires
-    that no atom carries mass 1/2 or more (the field has no zero
-    otherwise).  Near the sphere the ball Jacobian degenerates and |V|
-    can stall at a spurious minimum; when the line search finds no
-    decrease, the solve goes on by `_recentered_newton`.
+    Requires that no atom carries mass 1/2 or more (the field has no zero
+    otherwise).  Damped Newton, every step taken at the origin: the atoms
+    are moved to eta so that the current point is the origin, where the
+    field is w.eta and its Jacobian 2 sum w_i eta_i eta_i^T - 2I stays
+    well conditioned however far out the point lies.  The Newton step s is
+    halved until the field norm decreases, and gamma_s moves the atoms
+    again.  The barycenter is the origin carried back through the accepted
+    steps, s_1 + (s_2 + ... (s_k + 0)) by Moebius addition.
     """
     if any(w >= 0.5 for _, w in mu.atoms):
         raise DominantAtom("an atom of mass >= 1/2 blocks the barycenter")
-    X, w = _atom_arrays(mu)
-    x = 0.5 * sum(wi * p.coords for p, wi in mu.atoms)
-    v = _gamma_field(X, w, x)
-    res = np.linalg.norm(v)
-    for _ in range(BARYCENTER_MAX_ITER):
-        if res <= tol:
-            return SpacePoint(convert(x, "poincare", "hyperboloid"))
-        moved = _newton_step(X, w, x, v, res)
-        if moved is None:
-            return _recentered_newton(X, w, x, tol)
-        x, v, res = moved
-    if res <= tol:
-        return SpacePoint(convert(x, "poincare", "hyperboloid"))
-    raise NoConvergence(f"barycenter residual {res:.3e} > tol {tol:.3e}",
-                        residual=res)
-
-
-def _recentered_newton(X, w, x, tol):
-    """The barycenter solve continued from x in hyperbolic coordinates.
-
-    The translation T taking the basepoint to x moves the atoms to
-    eta = T^-1 xi, and the field of the moved measure at the origin has
-    the norm of V(x).  There the Jacobian is 2 sum w_i eta_i eta_i^T - 2I,
-    well conditioned however far out x lies, so each damped Newton step s
-    is taken at the origin; the translation S to s then moves the atoms
-    again, and T becomes T S."""
-    origin = np.zeros(len(x))
-    T = translation_to(SpacePoint(convert(x, "poincare", "hyperboloid")))
-    eta = act_ideal_many(T.inverse().matrix, X)
+    eta, w = _atom_arrays(mu)
+    eye = np.eye(mu.n)
     v = w @ eta
     res = np.linalg.norm(v)
+    steps = []
     for _ in range(BARYCENTER_MAX_ITER):
         if res <= tol:
-            return act_point(T, basepoint(len(x)))
-        moved = _newton_step(eta, w, origin, v, res)
-        if moved is None:
             break
-        S = translation_to(SpacePoint(convert(moved[0], "poincare",
-                                              "hyperboloid")))
-        T = T @ S
-        eta = act_ideal_many(S.inverse().matrix, eta)
-        v = w @ eta
-        res = np.linalg.norm(v)
-    if res <= tol:
-        return act_point(T, basepoint(len(x)))
-    raise NoConvergence(f"barycenter residual {res:.3e} > tol {tol:.3e}",
-                        residual=res)
+        s = np.linalg.solve(2.0 * (eta.T * w) @ eta - 2.0 * eye, -v)
+        for _ in range(40):
+            if s @ s < 1.0 - 1e-12:
+                moved = _gamma(eta, s)
+                v_s = w @ moved
+                res_s = np.linalg.norm(v_s)
+                if res_s < res:
+                    break
+            s = 0.5 * s
+        else:
+            break
+        eta, v, res = moved, v_s, res_s
+        steps.append(s)
+    if res > tol:
+        raise NoConvergence(f"barycenter residual {res:.3e} > tol {tol:.3e}",
+                            residual=res)
+    z = np.zeros(mu.n)
+    for s in reversed(steps):
+        z = _mobius_add(s, z)
+    return SpacePoint(convert(z, "poincare", "hyperboloid"))
 
 
 # -- boundary maps ----------------------------------------------------------

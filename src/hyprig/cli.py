@@ -100,7 +100,7 @@ def _map_from_arg(args, n):
 def cmd_vol(args):
     pts = _load(args, "simplex",
                 lambda rows: _ideal_points(rows, args.n, args.n + 1))
-    r = vol(pts, tol=args.tol)
+    r = vol(pts)
     _emit({"value": r.value, "abs_error": r.abs_error, "method": r.method}, args)
     return 0
 
@@ -196,7 +196,6 @@ def cmd_preset(args):
         "relators": [list(w) for w in p.relators],
         "cells": len(p.cells),
         "covolume": p.covolume,
-        "cusp_floor": p.cusp_floor,
         "verified": True,
     }, args)
     return 0
@@ -284,7 +283,6 @@ def build_parser():
     p = sub.add_parser("vol", help="signed volume of an ideal simplex")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--simplex", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
     common(p)
     p.set_defaults(func=cmd_vol)
 

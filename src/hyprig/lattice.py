@@ -3,8 +3,8 @@
 A preset ships a lattice as data: generator matrices, relator words, an
 ideal triangulation of a fundamental domain (every cell with one vertex
 at the cusp point at infinity, so the half-space picture has analytic
-vertical integrals) and cusp floors.  Nothing in the file is trusted:
-relators, face gluings and cell volumes are verified at load time.
+vertical integrals).  Nothing in the file is trusted: relators, face
+gluings and cell volumes are verified at load time.
 
 Sampling of the invariant probability measure on the quotient uses the
 decomposition of an isometry into (base point, frame): base points are
@@ -86,7 +86,6 @@ class LatticePreset:
     relators: tuple
     cells: tuple           # of tuples of IdealPoint
     face_pairings: tuple
-    cusp_floor: float
     charts: _Charts
     covolume: float        # sum of |Vol_n| over the cells
 
@@ -212,7 +211,6 @@ def load_preset(name: str) -> LatticePreset:
                       for cell in raw["cells"])
         relators = tuple(tuple(wd) for wd in raw.get("relators", ()))
         pairings = tuple(raw.get("face_pairings", ()))
-        floor = max(float(c["floor_height"]) for c in raw["cusps"])
     except Exception as exc:
         raise PresetCorrupt(f"malformed preset {name!r}: {exc}") from exc
 
@@ -245,7 +243,7 @@ def load_preset(name: str) -> LatticePreset:
 
     return LatticePreset(name=str(raw["name"]), n=n, generators=generators,
                          relators=relators, cells=cells, face_pairings=pairings,
-                         cusp_floor=floor, charts=charts, covolume=covol)
+                         charts=charts, covolume=covol)
 
 
 def _haar_frames(G: np.ndarray) -> np.ndarray:

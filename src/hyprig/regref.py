@@ -26,10 +26,10 @@ from .errors import BudgetExceeded, DegenerateFace
 from .hypcore import (
     IdealPoint,
     Isometry,
+    _lorentz_stack,
     act_ideal_many,
     hyperplane_through,
     identity_isometry,
-    make_isometry,
     reflect_in,
 )
 from .volcocycle import IdealSimplex, is_regular, orientation_sign
@@ -124,7 +124,7 @@ def reflection_walk(s: RegularSimplex, reflections, depth: int,
         letters = np.concatenate([letters[parent], last[:, None]], axis=1)
         G = G[parent] @ R[last]
         if length % REORTH_EVERY == 0:
-            G = np.array([make_isometry(g).matrix for g in G])
+            G = _lorentz_stack(G)[0]
         yield letters, G, act_ideal_many(G, X)
 
 

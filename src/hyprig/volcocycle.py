@@ -462,14 +462,14 @@ def vol_batch(P) -> np.ndarray:
     raise UnsupportedDimension(f"Vol_n is evaluated for n = 2..4, got {n}")
 
 
-def vol_defect(points, tol: float = 1e-6) -> float:
+def vol_defect(points) -> float:
     """Alternating sum of Vol_n over the faces of an (n+2)-tuple; the
     cocycle identity makes it vanish."""
     points = _vertex_list(points)
     total = 0.0
     for j in range(len(points)):
         face = points[:j] + points[j + 1:]
-        total += (-1) ** j * vol(face, tol=tol).value
+        total += (-1) ** j * vol(face).value
     return total
 
 

@@ -92,7 +92,7 @@ def test_barycenter_equivariance():
 
 def test_barycenter_random_measures_field_zero():
     rng = np.random.default_rng(7)
-    from hyprig.boundary import _atom_arrays, _gamma_field
+    from hyprig.boundary import _atom_arrays, _gamma
     from hyprig.hypcore import convert
     for _ in range(10):
         pts = [random_ideal(rng, 3) for _ in range(4)]
@@ -102,7 +102,8 @@ def test_barycenter_random_measures_field_zero():
         mu = BoundaryMeasure(tuple(zip(pts, w)))
         b = conformal_barycenter(mu, tol=1e-11)
         ball = convert(b.coords, "hyperboloid", "poincare")
-        assert np.linalg.norm(_gamma_field(*_atom_arrays(mu), ball)) < 1e-10
+        X, w = _atom_arrays(mu)
+        assert np.linalg.norm(w @ _gamma(X, ball)) < 1e-10
 
 
 def test_barycenter_far_out_past_a_spurious_minimum():
@@ -119,6 +120,25 @@ def test_barycenter_far_out_past_a_spurious_minimum():
     assert direct.coords[-1] > 1e3
     scale = np.max(np.abs(moved.coords))
     assert np.max(np.abs(direct.coords - moved.coords)) < 1e-8 * scale
+
+
+def test_barycenter_converges_where_ball_newton_walked_to_the_sphere():
+    # Newton in ball coordinates walked out to |x| = 1 - 3e-10 and stalled
+    # on this measure; a solve continued from there met a residual of NaN
+    from hyprig.hypcore import convert
+    atoms = ((0.5722775159774145, -0.800218083375099, 0.17930271538993245),
+             (0.5007652490615847, -0.0496550684916299, 0.8641577052282648),
+             (-0.41933439593948013, -0.8834189093144758, 0.20911646288060015),
+             (0.8686598148656693, -0.4552891231368876, 0.19529961697552053),
+             (-0.1384696913705965, -0.7133195015243033, -0.6870236046285826))
+    w = (0.22398836548132495, 0.20676137143080864, 0.09138170670295448,
+         0.4446405814008708, 0.03322797498404104)
+    mu = BoundaryMeasure(tuple((IdealPoint(np.array(a)), wi)
+                               for a, wi in zip(atoms, w)))
+    b = conformal_barycenter(mu)
+    assert abs(b.coords[-1] - 3.848011345) < 1e-6
+    ball = convert(b.coords, "hyperboloid", "poincare")
+    assert np.linalg.norm(_gamma_field_by_isometry(mu, ball)) < 1e-9
 
 
 def test_barycenter_rejects_dominant_atom():
@@ -244,7 +264,7 @@ def _random_ball_point(rng, n, radius):
 
 
 def test_gamma_field_closed_form_matches_isometry_action():
-    from hyprig.boundary import _atom_arrays, _gamma_field
+    from hyprig.boundary import _atom_arrays, _gamma
     rng = np.random.default_rng(23)
     for n in (2, 3, 4):
         for _ in range(100):
@@ -252,13 +272,15 @@ def test_gamma_field_closed_form_matches_isometry_action():
             pts = [random_ideal(rng, n) for _ in range(k)]
             mu = BoundaryMeasure(tuple(zip(pts, rng.dirichlet(np.ones(k)))))
             x = _random_ball_point(rng, n, 0.95)
-            gap = (_gamma_field(*_atom_arrays(mu), x)
-                   - _gamma_field_by_isometry(mu, x))
+            X, w = _atom_arrays(mu)
+            gap = w @ _gamma(X, x) - _gamma_field_by_isometry(mu, x)
             assert np.max(np.abs(gap)) < 1e-13
 
 
-def test_gamma_jacobian_matches_central_differences():
-    from hyprig.boundary import _atom_arrays, _gamma_field, _gamma_jacobian
+def test_origin_jacobian_matches_central_differences():
+    # the field x -> w . gamma_x(eta) has the Jacobian 2 sum w eta eta^T - 2I
+    # at the origin, where the barycenter solve takes every step
+    from hyprig.boundary import _atom_arrays, _gamma
     rng = np.random.default_rng(29)
     h = 1e-6
     for n in (2, 3, 4):
@@ -266,11 +288,10 @@ def test_gamma_jacobian_matches_central_differences():
             pts = [random_ideal(rng, n) for _ in range(5)]
             mu = BoundaryMeasure(tuple(zip(pts, rng.dirichlet(np.ones(5)))))
             X, w = _atom_arrays(mu)
-            x = _random_ball_point(rng, n, 0.8)
             fd = np.column_stack([
-                (_gamma_field(X, w, x + h * e) - _gamma_field(X, w, x - h * e))
-                / (2 * h) for e in np.eye(n)])
-            jac = _gamma_jacobian(X, w, x)
+                (w @ _gamma(X, h * e) - w @ _gamma(X, -h * e)) / (2 * h)
+                for e in np.eye(n)])
+            jac = 2.0 * (X.T * w) @ X - 2.0 * np.eye(n)
             assert np.max(np.abs(jac - fd)) < 1e-6 * max(1.0, np.abs(jac).max())
 
 

@@ -50,6 +50,16 @@ def test_vol_regular_4_simplex_closed_form(tmp_path, capsys):
     assert abs(abs(out["value"]) - V4_ORACLE) <= out["abs_error"] + 1e-10
 
 
+def test_vol_has_no_tolerance_flag(tmp_path):
+    # the closed forms read no tolerance, so the verb takes none
+    ref = reference_regular(3, 1)
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps([v.coords.tolist() for v in ref.base.vertices]))
+    with pytest.raises(SystemExit) as exc:
+        run(["vol", "--n", "3", "--simplex", str(f), "--tol", "1e-6"])
+    assert exc.value.code == 2
+
+
 def test_threads_flag_is_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["vn", "--n", "3", "--threads", "2"])

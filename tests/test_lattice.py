@@ -41,7 +41,6 @@ def test_reflection_2d_preset():
     assert p.n == 2
     assert abs(p.covolume - 2 * V2) < 1e-9
     assert p.relators == ()
-    assert abs(p.cusp_floor - 0.5) < 1e-12
 
 
 def test_preset_verification_rejects_tampering(tmp_path):
