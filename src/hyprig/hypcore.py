@@ -56,6 +56,23 @@ def null_lifts(X) -> np.ndarray:
     return lifts
 
 
+def stack_det(M) -> np.ndarray:
+    """Determinants of a stack of k x k matrices M (..., k, k): the 2x2
+    formula at k = 2 and the cofactor expansion along the first column at
+    k = 3, without LAPACK's per-matrix overhead, and LAPACK's LU
+    determinant otherwise."""
+    M = np.asarray(M, dtype=float)
+    k = M.shape[-1]
+    if k == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    if k == 3:
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = (
+            [M[..., i, j] for j in range(3)] for i in range(3))
+        return (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+                + a2 * (b0 * c1 - b1 * c0))
+    return np.linalg.det(M)
+
+
 def mink(x, y) -> float:
     """Minkowski inner product of two vectors (time coordinate last)."""
     x = np.asarray(x, dtype=float)

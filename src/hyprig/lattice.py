@@ -37,6 +37,7 @@ from .hypcore import (
     halfspace_to_hyperboloid,
     identity_isometry,
     make_isometry,
+    stack_det,
 )
 from .volcocycle import v_n, vol
 
@@ -263,20 +264,10 @@ def _haar_frames(G: np.ndarray) -> np.ndarray:
 
 
 def _frame_signs(Q: np.ndarray) -> np.ndarray:
-    """sign(det Q) of orthogonal frames Q (N, n, n), as +1 or -1: the
-    2x2 determinant at n = 2 and the triple product of the columns at
-    n = 3 (det Q = +-1 to rounding, so the sign is never in doubt), and
-    LAPACK's determinant for n >= 4."""
-    n = Q.shape[-1]
-    if n == 2:
-        det = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] * Q[:, 1, 0]
-    elif n == 3:
-        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = np.moveaxis(Q, 0, -1)
-        det = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
-               + a2 * (b0 * c1 - b1 * c0))
-    else:
-        det = np.linalg.det(Q)
-    return np.where(det > 0, 1, -1)
+    """sign(det Q) of orthogonal frames Q (N, n, n), as +1 or -1, from
+    `stack_det` (det Q = +-1 to rounding, so the sign is never in
+    doubt)."""
+    return np.where(stack_det(Q) > 0, 1, -1)
 
 
 def sample_haar(preset: LatticePreset, seed, N: int,

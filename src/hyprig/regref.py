@@ -5,14 +5,17 @@ n-simplex inscribed in the boundary sphere, first vertex at e_1.  The
 group generated by reflections in its faces tiles H^3 and is dense in the
 isometry group for n >= 4.  `reflection_walk` enumerates reflection words
 breadth first as products of the root's face reflections (the reflection
-in face i of g.s is g r_i g^-1).  `orbit` and `rigidity.reconstruct_isometry`
-walk it; `reference_vertices` caches the vertices of the reference
-simplex and `reference_walk` its walk, which `rigidity.consensus` moves
-onto each seed g.ref, since the walk of g.ref is g applied to it letter
-for letter.  A walk grows n-fold per letter, so each is held to
-MAX_WALK_SIZE simplices by default (`walk_size` counts them) and refuses
-a deeper one with BudgetExceeded before it starts.  `density_probe`
-measures how well the words approximate a target.
+in face i of g.s is g r_i g^-1).  Letter i moves vertex i alone, so the
+walk computes only the one vertex each word moves, and gives every
+image simplex as a row of indices into one vertex list.  `orbit` and
+`rigidity.reconstruct_isometry` walk it; `reference_vertices` caches the
+vertices of the reference simplex and `reference_walk` its walk, which
+`rigidity.consensus` moves onto each seed g.ref, since the walk of g.ref
+is g applied to it letter for letter.  A walk grows n-fold per letter,
+so each is held to MAX_WALK_SIZE simplices by default (`walk_size`
+counts them) and refuses a deeper one with BudgetExceeded before it
+starts.  `density_probe` measures how well the words approximate a
+target.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .hypcore import (
     identity_isometry,
     reflect_in,
 )
-from .volcocycle import IdealSimplex, is_regular, orientation_sign
+from .volcocycle import IdealSimplex, orientation_sign
 
 DEDUP_GRID = 1e-7
 DEDUP_RECHECK = 1e-9
@@ -107,8 +110,13 @@ def reflection_walk(s: RegularSimplex, reflections, depth: int,
     Yields for each length L = 1..depth the letters (K, L), by parent and
     then new letter, which never repeats the last one; the matrices
     (K, n+1, n+1), re-orthogonalized every REORTH_EVERY letters; and the
-    vertices (K, n+1, n) of the images of s, where letter i moves vertex i.
-    The walk grows n-fold per letter; before its first level it raises
+    images of s as rows of the walk's vertex list: index (K, n+1) and the
+    fresh vertices (K, n) the level adds to the list.  The list is the
+    n+1 vertices of s, then every level's fresh vertices in order, so the
+    vertices of the images are vertices[index].  Letter i moves vertex i
+    alone: a child's one fresh vertex is G X_i, and its index row is its
+    parent's with entry i replaced by the fresh vertex's row.  The walk
+    grows n-fold per letter; before its first level it raises
     BudgetExceeded if it would hold more than max_size simplices, s
     included.
     """
@@ -119,13 +127,18 @@ def reflection_walk(s: RegularSimplex, reflections, depth: int,
     letters = np.zeros((1, 0), dtype=np.int64)
     last = np.array([-1])
     G = np.eye(len(R))[None]
+    index = np.arange(len(R))[None]
+    rows = len(R)
     for length in range(1, depth + 1):
         parent, last = np.nonzero(np.arange(len(R)) != last[:, None])
         letters = np.concatenate([letters[parent], last[:, None]], axis=1)
         G = G[parent] @ R[last]
         if length % REORTH_EVERY == 0:
             G = _lorentz_stack(G)[0]
-        yield letters, G, act_ideal_many(G, X)
+        index = index[parent]
+        index[np.arange(len(last)), last] = rows + np.arange(len(last))
+        rows += len(last)
+        yield letters, G, index, act_ideal_many(G, X[last, None])[:, 0]
 
 
 @functools.cache
@@ -140,10 +153,12 @@ def reference_vertices(n: int) -> np.ndarray:
 @functools.cache
 def reference_walk(n: int, depth: int):
     """`reflection_walk` of reference_regular(n, 1) to the given depth, as
-    a tuple of (letters (K, L), vertices (K, n+1, n)) per word length L,
-    read-only; computed on the first call for each (n, depth)."""
+    a tuple of (letters (K, L), index (K, n+1), fresh (K, n)) per word
+    length L, read-only; its vertex list starts with
+    `reference_vertices(n)`.  Computed on the first call for each
+    (n, depth)."""
     ref = reference_regular(n, 1)
-    levels = tuple((letters, V) for letters, _, V
+    levels = tuple((letters, index, fresh) for letters, _, index, fresh
                    in reflection_walk(ref, face_reflections(ref), depth))
     for level in levels:
         for a in level:
@@ -194,14 +209,17 @@ def orbit(s: RegularSimplex, depth: int, max_size: int = MAX_WALK_SIZE):
         raise ValueError("depth must be >= 0")
     n = s.base.n
     entries = [(ReflectionWord((), identity_isometry(n)), s)]
+    points = [np.array([v.coords for v in s.base.vertices])]
     vertices = _VertexSet()
-    for v in s.base.vertices:
-        vertices.add(v.coords)
-    for letters, G, V in reflection_walk(s, face_reflections(s), depth,
-                                         max_size):
+    for v in points[0]:
+        vertices.add(v)
+    for letters, G, index, fresh in reflection_walk(
+            s, face_reflections(s), depth, max_size):
+        points.append(fresh)
+        V = np.concatenate(points)[index]
         sign = (-1) ** letters.shape[1]
-        for word, g, verts in zip(letters.tolist(), G, V):
-            vertices.add(verts[word[-1]])
+        for word, g, verts, new in zip(letters.tolist(), G, V, fresh):
+            vertices.add(new)
             child = IdealSimplex(tuple(IdealPoint(v) for v in verts))
             entries.append((ReflectionWord(tuple(word), Isometry(g, sign)),
                             RegularSimplex(child, sign * s.orientation)))
@@ -227,7 +245,3 @@ def density_probe(n: int, target: Isometry, depth: int,
             best = word.letters
     return best, best_d
 
-
-def check_orbit_regularity(entries, tol: float = 1e-8) -> bool:
-    """Every orbit simplex stays regular (isometries preserve shape)."""
-    return all(is_regular(simplex.base.vertices, tol) for _, simplex in entries)

@@ -9,12 +9,12 @@ at once.  `reconstruct_isometry` certifies the candidate on
 `regref.reflection_walk` of the seed simplex.  `consensus` reconstructs
 from m random seeds g.ref in one pass: all m seed isometries come from
 one stacked solve, the walk of g.ref is g applied to the cached walk of
-the reference simplex (`regref.reference_walk`), so each word length of
-all m walks is mapped and checked in one batch, and the m
-reconstructions must agree.  The pass raises the first failure it
-meets; only then are the seeds replayed one by one, so that the error
-is the first failing seed's.  `verify_conjugacy` confirms the resulting
-conjugation of lattice generators.
+the reference simplex (`regref.reference_walk`), so the vertices each
+word length of all m walks adds are moved, mapped and checked in one
+batch, and the m reconstructions must agree.  The pass raises the first
+failure it meets; only then are the seeds replayed one by one, so that
+the error is the first failing seed's.  `verify_conjugacy` confirms the
+resulting conjugation of lattice generators.
 """
 
 from __future__ import annotations
@@ -181,13 +181,15 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
     The candidate h solves phi on the seed vertices alone; it is then
     tested on the vertex each breadth-first face reflection adds, to the
     given depth, with the image orientation required to alternate in
-    step with the source orientation.  Each level is mapped by phi in one
-    batch before its checks, which raise at the first failing child.
+    step with the source orientation.  Each level's new vertices are
+    mapped by phi in one batch before its checks, which raise at the
+    first failing child.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    walk = ((letters, V[None]) for letters, _, V in reflection_walk(
-        seed_simplex, face_reflections(seed_simplex), depth))
+    walk = ((letters, fresh[None], index) for letters, _, index, fresh
+            in reflection_walk(seed_simplex, face_reflections(seed_simplex),
+                               depth))
     H, signs, worst = _reconstruct(phi, _vertex_array(seed_simplex)[None],
                                    walk, tol, image_tol)
     return ReconstructionResult(h=Isometry(H[0], int(signs[0])),
@@ -200,12 +202,17 @@ def _reconstruct(phi, X, walk, tol, image_tol):
     (m, n+1, n), at once: their candidates as matrices (m, n+1, n+1) and
     signs (m,), and their largest orbit mismatches (m,).
 
-    walk yields, per word length, the letters (K, L) and the vertices
-    (m, K, n+1, n) of every seed's reflection walk.  The seed images are
+    walk yields, per word length, the letters (K, L), the fresh vertices
+    (m, K, n) the level adds to every seed's walk and the index rows
+    (K, n+1) of its simplices, as `regref.reflection_walk` gives them;
+    the vertex list of seed i starts with X[i].  The seed images are
     taken one point at a time, and all m candidates come from one stacked
-    `_pair_isometries` solve; each walk level of all seeds is mapped by
-    one `evaluate_many` call and checked in one batch.  The first failure
-    met raises, which for m > 1 need not be the first failing seed's.
+    `_pair_isometries` solve.  Each level then maps its fresh vertices of
+    all seeds by one `evaluate_many` call, compares them with their
+    images under the candidates, and checks the orientations of the image
+    simplices, gathered from the seed images and every level's images so
+    far; only then does the next level reach phi.  The first failure met
+    raises, which for m > 1 need not be the first failing seed's.
     """
     images = [[phi(IdealPoint(x)) for x in Xi] for Xi in X]
     Y = np.array([[v.coords for v in img] for img in images])
@@ -214,13 +221,15 @@ def _reconstruct(phi, X, walk, tol, image_tol):
     H, signs = _pair_isometries(X, Y, max(REGULARITY_TOL, image_tol))
     img_or = orientation_signs(Y)
     worst = np.zeros(len(X))
-    for letters, V in walk:
-        img = evaluate_many(phi, V.reshape(-1, V.shape[-1])).reshape(V.shape)
-        added = slice(None), np.arange(len(letters)), letters[:, -1]
-        gaps = np.max(np.abs(act_ideal_many(H, V[added]) - img[added]),
-                      axis=-1)
-        misoriented = (orientation_signs(img.reshape(-1, *img.shape[2:]))
-                       .reshape(gaps.shape)
+    mapped = Y
+    for letters, fresh, index in walk:
+        img = evaluate_many(phi, fresh.reshape(-1, fresh.shape[-1])
+                            ).reshape(fresh.shape)
+        gaps = np.max(np.abs(act_ideal_many(H, fresh) - img), axis=-1)
+        mapped = np.concatenate([mapped, img], axis=1)
+        simplices = mapped[:, index]
+        misoriented = (orientation_signs(simplices.reshape(
+            -1, *simplices.shape[2:])).reshape(gaps.shape)
                        != (-1) ** letters.shape[1] * img_or[:, None])
         bad = (gaps > tol) | misoriented
         failing = np.flatnonzero(bad.any(axis=1))
@@ -250,10 +259,12 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
     agree within tol in max-abs matrix norm.
 
     The m isometries g are drawn as one stack, and each seed's walk is g
-    applied to the cached reference walk; all seeds are reconstructed in
-    one pass.  If that pass raises, the seeds are reconstructed again one
-    by one, and the first that raises on its own raises its error: the
-    error of reconstructing the seeds one after the other.
+    applied to the cached reference walk: its vertex list starts with the
+    seed vertices, and only each level's fresh vertices are moved.  All
+    seeds are reconstructed in one pass.  If that pass raises, the seeds
+    are reconstructed again one by one, and the first that raises on its
+    own raises its error: the error of reconstructing the seeds one after
+    the other.
 
     The pass holds the levels of all m walks at once, so it raises
     BudgetExceeded, before any level is mapped, when m walks would hold
@@ -276,8 +287,8 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
     levels = reference_walk(n, depth)
 
     def reconstruct(k):
-        walk = ((letters, act_ideal_many(G[k, None], V))
-                for letters, V in levels)
+        walk = ((letters, act_ideal_many(G[k], fresh), index)
+                for letters, index, fresh in levels)
         return _reconstruct(phi, X[k], walk, ORBIT_TOL, IMAGE_TOL)
 
     try:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSimplex, UnsupportedDimension
-from .hypcore import halfspace_chart, null_lifts
+from .hypcore import halfspace_chart, null_lifts, stack_det
 from .quadrature import integrate_simplex
 
 COINCIDENCE_TOL = 1e-12
@@ -128,8 +128,9 @@ def _coincident_rows(gaps2):
 
 def _signs(P, dets) -> np.ndarray:
     """Orientations of the vertex orders P (N, n+1, n) from the
-    determinants of their null lifts: the sign of det, 0 where two
-    vertices coincide or below the degeneracy cut
+    determinants of their null lifts (or any value equal to them up to
+    rounding): the sign of det, 0 where two vertices coincide or below
+    the degeneracy cut
 
         |det|^n <= DEGENERATE_DET_TOL^n prod_{i<j} |xi_i - xi_j|^2.
 
@@ -155,8 +156,17 @@ def orientation_signs(P) -> np.ndarray:
     """Orientations of N vertex orders P (N, n+1, n): the sign of det of
     the null lifts, 0 where two vertices coincide or below the degeneracy
     cut of `_signs`, where the points lie on the boundary sphere of a
-    hyperplane (the straightened simplex is flat)."""
+    hyperplane (the straightened simplex is flat).
+
+    Subtracting the first lift from the others leaves one 1 in the last
+    column, so det[(xi_i, 1)] = (-1)^n det[xi_i - xi_0], i = 1..n; at
+    n = 2, 3 that n x n determinant of the differences is taken in closed
+    form (`stack_det`), and at n >= 4 the lifts go through LAPACK, whose
+    determinant `vol4_batch` shares."""
     P = np.asarray(P, dtype=float)
+    n = P.shape[-1]
+    if n <= 3:
+        return _signs(P, (-1) ** n * stack_det(P[:, 1:] - P[:, :1]))
     return _signs(P, np.linalg.det(null_lifts(P)))
 
 

@@ -17,7 +17,6 @@ from hyprig.hypcore import (
 )
 from hyprig.regref import (
     RegularSimplex,
-    check_orbit_regularity,
     density_probe,
     face_reflections,
     orbit,
@@ -25,8 +24,10 @@ from hyprig.regref import (
     reference_vertices,
     reference_walk,
     reflection_walk,
+    walk_size,
 )
-from hyprig.volcocycle import IdealSimplex, is_regular, orientation_sign
+from hyprig.volcocycle import (IdealSimplex, is_regular, orientation_sign,
+                               regular_mask)
 
 
 def test_reference_regular_shapes():
@@ -114,7 +115,9 @@ def test_orbit_word_resolves_to_child():
 def test_orbit_regularity():
     s = reference_regular(3, 1)
     entries, _ = orbit(s, 4)
-    assert check_orbit_regularity(entries, 1e-8)
+    P = np.array([[v.coords for v in child.base.vertices]
+                  for _, child in entries])
+    assert regular_mask(P, 1e-8).all()
 
 
 def test_orbit_tiling_disjoint_interiors():
@@ -185,13 +188,23 @@ def _per_simplex_bfs(s, depth):
     return levels
 
 
+def _walk_vertices(s, walk):
+    """Per level of a reflection walk of s, the vertices (K, n+1, n) of
+    its simplices, gathered from the walk's vertex list."""
+    points = [np.array([v.coords for v in s.base.vertices])]
+    for _, _, index, fresh in walk:
+        points.append(fresh)
+        yield np.concatenate(points)[index]
+
+
 def test_reflection_walk_matches_per_simplex_bfs():
     for n in (2, 3, 4):
         s = reference_regular(n, 1)
         walk = list(reflection_walk(s, face_reflections(s), 3))
         ref = _per_simplex_bfs(s, 3)
         assert len(walk) == len(ref) == 3
-        for (letters, G, V), level in zip(walk, ref):
+        for (letters, G, _, _), V, level in zip(walk, _walk_vertices(s, walk),
+                                                ref):
             assert [tuple(w) for w in letters.tolist()] == \
                 [w for w, _, _ in level]
             M = np.array([g.matrix for _, g, _ in level])
@@ -201,33 +214,72 @@ def test_reflection_walk_matches_per_simplex_bfs():
             assert np.max(np.abs(V - X)) < 1e-9
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_reflection_walk_maps_each_vertex_once(n):
+    # a child keeps its parent's vertices but the one its last letter
+    # moves, so its index row is its parent's but at that letter, and the
+    # vertex list holds the root's n + 1 vertices and one per word
+    s = reference_regular(n, 1)
+    ref = _per_simplex_bfs(s, 5)
+    for depth in range(6):
+        walk = list(reflection_walk(s, face_reflections(s), depth))
+        rows = n + 1
+        parent_index = np.arange(n + 1)[None]
+        for (letters, _, index, fresh), V, level in zip(
+                walk, _walk_vertices(s, walk), ref):
+            K = len(letters)
+            assert index.shape == (K, n + 1) and fresh.shape == (K, n)
+            X = np.array([[v.coords for v in c.base.vertices]
+                          for _, _, c in level])
+            assert np.max(np.abs(V - X)) < 1e-12
+            # children come by parent, n to each but the root's n + 1
+            parent = np.arange(K) // (n + 1 if letters.shape[1] == 1 else n)
+            last = letters[:, -1]
+            kept = np.arange(n + 1) != last[:, None]
+            assert np.array_equal(index[kept], parent_index[parent][kept])
+            assert np.array_equal(index[np.arange(K), last],
+                                  rows + np.arange(K))
+            rows += K
+            parent_index = index
+        assert rows == n + 1 + sum(len(w) for w, *_ in walk)
+        assert rows == walk_size(n, depth) + n
+    assert walk_size(3, 4) + 3 == 164
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(n=st.integers(2, 4), depth=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([1, -1]))
 def test_reference_walk_moved_by_g_is_the_walk_of_g_ref(n, depth, seed, eps):
     # the face reflections of g.ref are g r_i g^-1, so the walk of g.ref
-    # is g applied to the reference walk, letter for letter
+    # is g applied to the reference walk, letter for letter, with the
+    # same vertex list layout
     g = random_isometry(np.random.default_rng(seed), n, 1.0, orientation=eps)
     verts = tuple(act_ideal(g, v) for v in reference_regular(n, 1).base.vertices)
     s = RegularSimplex(IdealSimplex(verts), orientation_sign(verts))
     own = list(reflection_walk(s, face_reflections(s), depth))
     cached = reference_walk(n, depth)
     assert len(cached) == len(own) == depth
-    for (letters, V), (own_letters, _, own_V) in zip(cached, own):
+    for (letters, index, fresh), (own_letters, _, own_index, own_fresh) in zip(
+            cached, own):
         assert np.array_equal(letters, own_letters)
-        assert np.max(np.abs(act_ideal_many(g.matrix, V) - own_V)) < 1e-12
+        assert np.array_equal(index, own_index)
+        assert np.max(np.abs(act_ideal_many(g.matrix, fresh) - own_fresh)) \
+            < 1e-12
 
 
 def test_reference_walk_is_cached_read_only_and_filled_on_first_call():
     levels = reference_walk(3, 2)
     assert reference_walk(3, 2) is levels
-    with pytest.raises(ValueError):
-        levels[0][1][0, 0, 0] = 0.0
+    for level in levels:
+        for a in level:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
     ref = reference_regular(3, 1)
-    for (letters, V), (own_letters, _, own_V) in zip(
+    for (letters, index, fresh), (own_letters, _, own_index, own_fresh) in zip(
             levels, reflection_walk(ref, face_reflections(ref), 2)):
         assert np.array_equal(letters, own_letters)
-        assert np.array_equal(V, own_V)
+        assert np.array_equal(index, own_index)
+        assert np.array_equal(fresh, own_fresh)
     for n in (2, 3, 4):
         X = reference_vertices(n)
         assert reference_vertices(n) is X

@@ -629,7 +629,7 @@ def test_consensus_budget_counts_all_seeds_walks():
 def test_walk_size_counts_the_walk(n):
     ref = reference_regular(n, 1)
     levels = reflection_walk(ref, face_reflections(ref), 4)
-    assert walk_size(n, 4) == 1 + sum(len(letters) for letters, _, _ in levels)
+    assert walk_size(n, 4) == 1 + sum(len(letters) for letters, *_ in levels)
 
 
 # the module names hyprig_bench's traced run replaces by span recorders

@@ -19,6 +19,7 @@ from hyprig.volcocycle import (
     V2,
     V3,
     V4,
+    _signs,
     _zeta_even,
     is_regular,
     lobachevsky,
@@ -265,6 +266,37 @@ def test_orientation_signs_equivariant_down_to_small_gaps(n):
                             orientation=int(rng.choice((1, -1))))
         moved = act_ideal_many(g.matrix, P)
         assert np.array_equal(orientation_signs(moved), g.sign * signs)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_closed_form_orientations_match_lapack(n):
+    """At n = 2, 3 the signs come from the closed-form determinant of the
+    vertex differences: on random, flat and clustered simplices they are
+    the signs of LAPACK's determinant of the lifts, except on a few of the
+    tightest clusters, where LU on the lifts loses every digit and lands
+    under the degeneracy cut; there the exact determinant agrees with
+    the closed form."""
+    rng = np.random.default_rng(90 + n)
+    P = rng.standard_normal((100_000, n + 1, n))
+    P /= np.linalg.norm(P, axis=2, keepdims=True)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    W = rng.standard_normal((2_000, n + 1, n))
+    W -= (W @ u)[..., None] * u
+    W /= np.linalg.norm(W, axis=2, keepdims=True)
+    c = rng.uniform(-0.9, 0.9, (len(W), 1, 1))
+    flat = c * u + np.sqrt(1.0 - c ** 2) * W
+    clusters = np.array([_cluster(rng, n, 10.0 ** -k)
+                         for k in range(7) for _ in range(500)])
+    P = np.concatenate([P, flat, clusters])
+    signs = orientation_signs(P)
+    differ = np.flatnonzero(signs != _signs(P, np.linalg.det(null_lifts(P))))
+    assert np.all(differ >= len(P) - len(clusters))
+    assert len(differ) <= 10
+    with mpmath.workdps(60):
+        for i in differ:
+            exact = mpmath.det(mpmath.matrix(null_lifts(P[i]).tolist()))
+            assert signs[i] == mpmath.sign(exact) != 0
 
 
 def test_voln_matches_vol3():
