@@ -172,26 +172,35 @@ class Hyperplane:
         return len(self.normal) - 1
 
 
-def _gram_schmidt_j(M: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt of the columns against the Minkowski form."""
-    n = len(M) - 1
-    Q = M.astype(float).copy()
-    # Spacelike columns first, the time column last; small-drift input
-    # keeps every pivot well away from the light cone.
-    for j in range(n + 1):
-        v = Q[:, j].copy()
-        for i in range(j):
-            qi = Q[:, i]
-            v -= (mink(v, qi) / mink(qi, qi)) * qi
-        norm2 = mink(v, v)
-        Q[:, j] = v / np.sqrt(abs(norm2))
-    return Q
+def gram_schmidt(A, form=None) -> np.ndarray:
+    """Columns of a stack A (..., k, k) orthonormalised in order by
+    classical Gram-Schmidt run twice per column (CGS2: Giraud, Langou and
+    Rozloznik 2005), in the Euclidean product or in the diagonal form
+    ``form`` (k,) of +-1.  The second pass keeps them orthonormal to
+    rounding for ill-conditioned A; Gaussian A give the Haar frames of
+    O(k), the Q of A = QR with positive R diagonal (Mezzadri 2007)."""
+    cols = [A[..., :, j].copy() for j in range(A.shape[-1])]
+    duals = []  # q form / <q, q>: the coefficient of v along q is <dual, v>
+    for v in cols:
+        for _ in range(2):
+            coef = [np.einsum("...i,...i->...", d, v) for d in duals]
+            for q, c in zip(cols, coef):
+                v -= c[..., None] * q
+        if form is None:
+            v /= np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+            duals.append(v)
+        else:
+            norm2 = np.einsum("...i,...i->...", v * form, v)
+            v /= np.sqrt(np.abs(norm2))[..., None]
+            duals.append(v * form * np.sign(norm2)[..., None])
+    return np.stack(cols, axis=-1)
 
 
 def make_isometry(matrix) -> Isometry:
     """Validate a Lorentz matrix and package it with its orientation sign.
 
-    Orthogonality drift up to 1e-8 is silently repaired by Gram-Schmidt
+    Form drift up to 1e-8 relative to max(1, max|M|)^2, the scale at
+    which |M^T J M - J| is rounded, is silently repaired by Gram-Schmidt
     against the form; beyond that :class:`NotLorentz` is raised.  Matrices
     reversing the time orientation raise :class:`TimeReversing`.
     """
@@ -203,21 +212,25 @@ def make_isometry(matrix) -> Isometry:
 
 
 def _lorentz_stack(M: np.ndarray):
-    """:func:`make_isometry` on a stack M (k, n+1, n+1): the matrices, each
-    repaired if its drift exceeds 1e-14, and their orientation signs (k,).
-    The matrices are checked in stack order, each exactly as
-    make_isometry checks one, and the first failure raises."""
+    """:func:`make_isometry` on a stack M (k, n+1, n+1): the matrices and
+    their orientation signs (k,).  The form defect |M^T J M - J|, rounded
+    at about eps max|M|^2, is taken relative to max(1, max|M|)^2; rows
+    past 1e-14 are repaired together by one Minkowski `gram_schmidt`, and
+    the first failing row in stack order raises its own error."""
     J = minkowski_matrix(M.shape[-1] - 1)
     defect = np.max(np.abs(np.swapaxes(M, -1, -2) @ J @ M - J), axis=(-2, -1))
-    suspect = np.flatnonzero((defect > 1e-14) | (M[:, -1, -1] <= 0))
-    if len(suspect):
-        M = M.copy()
-    for i in suspect:
-        if defect[i] > REPAIR_TOL:
-            raise NotLorentz(f"form defect {defect[i]:.3e} exceeds {REPAIR_TOL}")
-        if defect[i] > 1e-14:
-            M[i] = _gram_schmidt_j(M[i])
-        if M[i, -1, -1] <= 0:
+    # written so that a NaN defect or time entry fails
+    if not ((defect <= 1e-14) & (M[:, -1, -1] > 0)).all():
+        defect = defect / np.maximum(1.0, np.abs(M).max(axis=(-2, -1))) ** 2
+        repair = (defect > 1e-14) & (defect <= REPAIR_TOL)
+        if repair.any():
+            M = M.copy()
+            M[repair] = gram_schmidt(M[repair], np.diag(J))
+        fails = ~((defect <= REPAIR_TOL) & (M[:, -1, -1] > 0))
+        if fails.any():
+            i = np.argmax(fails)
+            if not defect[i] <= REPAIR_TOL:
+                raise NotLorentz(f"form defect {defect[i]:.3e} exceeds {REPAIR_TOL}")
             raise TimeReversing("matrix reverses the time orientation")
     return M, np.where(np.linalg.det(M) > 0, 1, -1)
 

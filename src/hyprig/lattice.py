@@ -14,7 +14,7 @@ density-ratio weight whose batch average is 1.  The
 cells are drawn by inverse CDF and the feet as normalised exponential
 spacings, the very draws of Generator.choice and Generator.dirichlet;
 the frames are the Gram-Schmidt orthonormalisations of Gaussian
-matrices (Mezzadri, Notices AMS 54, 2007).
+matrices by `hypcore.gram_schmidt` (Mezzadri, Notices AMS 54, 2007).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .hypcore import (
     IdealPoint,
     Isometry,
     act_ideal,
+    gram_schmidt,
     halfspace_chart,
     halfspace_to_hyperboloid,
     identity_isometry,
@@ -247,22 +248,6 @@ def load_preset(name: str) -> LatticePreset:
                          charts=charts, covolume=covol)
 
 
-def _haar_frames(G: np.ndarray) -> np.ndarray:
-    """The orthogonal factors Q of G = QR (N, n, n) with positive R
-    diagonal, by classical Gram-Schmidt run twice per column (CGS2).
-
-    For Gaussian G these are Haar-distributed in O(n).  The second pass
-    keeps Q orthogonal to rounding even for ill-conditioned G."""
-    cols = [G[:, :, j].copy() for j in range(G.shape[2])]
-    for j, v in enumerate(cols):
-        for _ in range(2):
-            coef = [np.einsum("ni,ni->n", q, v) for q in cols[:j]]
-            for q, c in zip(cols[:j], coef):
-                v -= c[:, None] * q
-        v /= np.sqrt(np.einsum("ni,ni->n", v, v))[:, None]
-    return np.stack(cols, axis=2)
-
-
 def _frame_signs(Q: np.ndarray) -> np.ndarray:
     """sign(det Q) of orthogonal frames Q (N, n, n), as +1 or -1, from
     `stack_det` (det Q = +-1 to rounding, so the sign is never in
@@ -336,9 +321,7 @@ def sample_haar(preset: LatticePreset, seed, N: int,
     Y = halfspace_to_hyperboloid(x, t)
     y, y0 = Y[:, :n], Y[:, n]
 
-    # Haar frames: the Q of the Gaussian matrices' QR with positive R
-    # diagonal, which Gram-Schmidt gives (Mezzadri 2007)
-    frames = _haar_frames(gauss)
+    frames = gram_schmidt(gauss)
 
     # g = [[I + y y^T/(1+y0), y], [y^T, y0]] @ diag(frame, 1): the
     # transvection carrying the basepoint to (y, y0) after the rotation

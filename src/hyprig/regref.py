@@ -15,7 +15,7 @@ is g applied to it letter for letter.  A walk grows n-fold per letter,
 so each is held to MAX_WALK_SIZE simplices by default (`walk_size`
 counts them) and refuses a deeper one with BudgetExceeded before it
 starts.  `density_probe` measures how well the words approximate a
-target.
+target, scanning the walk's matrices level by level.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def reflection_walk(s: RegularSimplex, reflections, depth: int,
 
     Yields for each length L = 1..depth the letters (K, L), by parent and
     then new letter, which never repeats the last one; the matrices
-    (K, n+1, n+1), re-orthogonalized every REORTH_EVERY letters; and the
+    (K, n+1, n+1), drifted ones repaired every REORTH_EVERY letters; and the
     images of s as rows of the walk's vertex list: index (K, n+1) and the
     fresh vertices (K, n) the level adds to the list.  The list is the
     n+1 vertices of s, then every level's fresh vertices in order, so the
@@ -230,18 +230,22 @@ def density_probe(n: int, target: Isometry, depth: int,
                   max_size: int = MAX_WALK_SIZE):
     """Best approximation of a target isometry by reflection words.
 
-    Enumerates words of length <= depth in the face reflections of the
-    reference regular simplex and returns (letters, distance) minimizing
-    the max-abs matrix distance.  The minimum is non-increasing in depth.
+    Scans the matrices of the reference regular simplex's reflection walk
+    to the given depth and returns (letters, distance) minimizing the
+    max-abs matrix distance: the first word in breadth-first order, the
+    empty word first, that beats the choice so far by more than 1e-15.
+    The minimum is non-increasing in depth.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     s = reference_regular(n, 1)
-    entries, _ = orbit(s, depth, max_size=max_size)
-    best = None
-    best_d = np.inf
-    for word, _ in entries:
-        d = float(np.max(np.abs(word.resolved.matrix - target.matrix)))
-        if d < best_d - 1e-15:
-            best_d = d
-            best = word.letters
+    best, best_d = (), float(np.max(np.abs(np.eye(n + 1) - target.matrix)))
+    for letters, G, _, _ in reflection_walk(s, face_reflections(s), depth,
+                                            max_size):
+        d = np.max(np.abs(G - target.matrix), axis=(-2, -1))
+        # a winner lies below every earlier distance: only records can win
+        prior = np.minimum.accumulate(np.concatenate([[best_d], d[:-1]]))
+        for k in np.flatnonzero(d < prior):
+            if d[k] < best_d - 1e-15:
+                best, best_d = tuple(letters[k].tolist()), float(d[k])
     return best, best_d
-

@@ -16,7 +16,6 @@ from hyprig.errors import (
 from hyprig.hypcore import (
     Isometry,
     IdealPoint,
-    _gram_schmidt_j,
     _lorentz_stack,
     SpacePoint,
     act_ideal,
@@ -84,12 +83,35 @@ def test_make_isometry_rejects():
     bad = np.eye(4) + 1e-6
     with pytest.raises(NotLorentz):
         make_isometry(bad)
+    with pytest.raises(NotLorentz, match="form defect"):
+        make_isometry(np.full((4, 4), np.nan))
+
+
+def _gram_schmidt_j(M):
+    """Modified Gram-Schmidt of the columns of one matrix against the
+    Minkowski form, one column at a time: the reference for the stacked
+    repair."""
+    n = len(M) - 1
+    Q = M.astype(float).copy()
+    for j in range(n + 1):
+        v = Q[:, j].copy()
+        for i in range(j):
+            qi = Q[:, i]
+            v -= (mink(v, qi) / mink(qi, qi)) * qi
+        Q[:, j] = v / np.sqrt(abs(mink(v, v)))
+    return Q
+
+
+def _relative_defect(M):
+    """max|M^T J M - J| / max(1, max|M|)^2 of a stack M (..., n+1, n+1)."""
+    J = minkowski_matrix(M.shape[-1] - 1)
+    defect = np.abs(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=(-2, -1))
+    return defect / np.maximum(1.0, np.abs(M).max(axis=(-2, -1))) ** 2
 
 
 def _make_isometry_by_formula(M):
     """make_isometry on one matrix, as a reference for the stacked checks."""
-    J = minkowski_matrix(len(M) - 1)
-    defect = float(np.max(np.abs(M.T @ J @ M - J)))
+    defect = float(_relative_defect(M))
     if defect > 1e-8:
         raise NotLorentz(f"form defect {defect:.3e} exceeds 1e-08")
     if defect > 1e-14:
@@ -185,10 +207,17 @@ def test_lorentz_stack_repairs_and_raises_like_make_isometry():
         # pass unchanged
         M[1::3] += rng.standard_normal(M[1::3].shape) * 1e-10
         out, signs = _lorentz_stack(M)
-        for row, got, sign in zip(M, out, signs):
+        for i, (row, got, sign) in enumerate(zip(M, out, signs)):
             ref = _make_isometry_by_formula(row)
-            assert np.array_equal(got, ref.matrix) and sign == ref.sign
-        assert np.array_equal(out[0], M[0]) and not np.array_equal(out[1], M[1])
+            assert sign == ref.sign
+            if i % 3 != 1:
+                assert np.array_equal(got, row)
+                continue
+            # the stacked CGS2 and the per-matrix MGS agree to rounding
+            scale = max(1.0, np.abs(row).max())
+            assert np.abs(got - ref.matrix).max() <= 1e-12 * scale
+            assert _relative_defect(got) <= 2e-15
+            assert not np.array_equal(got, row)
         # the first failing row in stack order raises its own error
         bad = M.copy()
         bad[5] = minkowski_matrix(n)
@@ -198,6 +227,19 @@ def test_lorentz_stack_repairs_and_raises_like_make_isometry():
         bad[3] = np.eye(n + 1) + 1e-6
         with pytest.raises(NotLorentz, match="form defect"):
             _lorentz_stack(bad)
+
+
+def test_make_isometry_accepts_long_random_isometries():
+    # the form defect of the library's own isometries is rounded at about
+    # eps max|M|^2, which an absolute bound rejected at these lengths;
+    # test_make_isometry_rejects keeps the matrices it must still reject
+    for window in (10.0, 15.0):
+        M, signs = random_isometries(np.random.default_rng(3), 3, 20, window)
+        assert np.abs(M).max() > 1e3
+        for row, sign in zip(M, signs):
+            g = make_isometry(row)
+            assert g.sign == sign
+            assert _relative_defect(g.matrix) <= 1e-14
 
 
 def test_sign_is_multiplicative():

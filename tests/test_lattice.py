@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hyprig.errors import PresetCorrupt, UnknownPreset
-from hyprig.lattice import _frame_signs, _haar_frames, load_preset, sample_haar
+from hyprig.hypcore import gram_schmidt
+from hyprig.lattice import _frame_signs, load_preset, sample_haar
 from hyprig.volcocycle import V2, V3, vol
 
 
@@ -108,7 +109,7 @@ def _lapack_frames(G):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gram_schmidt_frames_match_lapack_qr(n):
-    """_haar_frames against LAPACK's Q sign(diag R) on Gaussian blocks and
+    """gram_schmidt against LAPACK's Q sign(diag R) on Gaussian blocks and
     on blocks of condition number kappa.  Q is unique and well-conditioned
     when the columns are Gaussian or only scaled (graded), so there the two
     agree; when the columns are nearly dependent, Q itself moves by about
@@ -118,7 +119,7 @@ def test_gram_schmidt_frames_match_lapack_qr(n):
     eye = np.eye(n)
 
     def check(G, agree):
-        Q = _haar_frames(G)
+        Q = gram_schmidt(G)
         assert np.abs(np.swapaxes(Q, 1, 2) @ Q - eye).max() <= 2e-15
         # Q^T G is upper triangular with a positive diagonal
         R = np.swapaxes(Q, 1, 2) @ G
@@ -143,7 +144,7 @@ def test_gram_schmidt_frames_match_lapack_qr(n):
 def test_frame_signs_match_lapack_det(n):
     # the closed-form signs at n = 2, 3 are LAPACK's, frame for frame
     rng = np.random.default_rng(60 + n)
-    Q = _haar_frames(rng.standard_normal((100_000, n, n)))
+    Q = gram_schmidt(rng.standard_normal((100_000, n, n)))
     signs = _frame_signs(Q)
     assert np.array_equal(signs, np.where(np.linalg.det(Q) > 0, 1, -1))
     assert signs.min() == -1 and signs.max() == 1

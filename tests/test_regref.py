@@ -329,3 +329,46 @@ def test_density_probe_monotone():
         _, d1 = density_probe(4, target, 1)
         _, d3 = density_probe(4, target, 3)
         assert d3 <= d1 + 1e-12
+
+
+def test_reflection_walk_n2_depth_16_stays_lorentz_at_its_scale():
+    # entries reach 2.6e6 at 16 letters, where the form defect is rounded
+    # at about eps max|G|^2; measured against that scale it stays at
+    # rounding on every level
+    s = reference_regular(2, 1)
+    J = minkowski_matrix(2)
+    for letters, G, _, _ in reflection_walk(s, face_reflections(s), 16):
+        defect = np.abs(np.swapaxes(G, 1, 2) @ J @ G - J).max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(G).max(axis=(1, 2))) ** 2
+        assert (defect / scale).max() <= 1e-13
+    assert letters.shape == (3 * 2 ** 15, 16) and np.abs(G).max() > 1e6
+
+
+def _density_probe_by_orbit(entries, target):
+    """density_probe as a loop over orbit's entries: the reference for
+    the scan of the walk's matrices."""
+    best = None
+    best_d = np.inf
+    for word, _ in entries:
+        d = float(np.max(np.abs(word.resolved.matrix - target.matrix)))
+        if d < best_d - 1e-15:
+            best_d = d
+            best = word.letters
+    return best, best_d
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_density_probe_matches_orbit_loop(n):
+    # the orbit of depth 5 lists every shorter orbit as its prefix
+    entries, _ = orbit(reference_regular(n, 1), 5)
+    rng = np.random.default_rng(110 + n)
+    targets = [random_isometry(rng, n, max_translation=0.5) for _ in range(20)]
+    # words as targets, where distinct words give the same matrix to
+    # rounding and the 1e-15 margin decides
+    targets += [entries[k][0].resolved for k in rng.integers(len(entries), size=5)]
+    for target in targets:
+        for depth in range(6):
+            got = density_probe(n, target, depth)
+            assert got == _density_probe_by_orbit(
+                entries[:walk_size(n, depth)], target)
+            assert type(got[1]) is float
