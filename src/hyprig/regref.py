@@ -109,7 +109,7 @@ def reflection_walk(s: RegularSimplex, reflections, depth: int,
 
     Yields for each length L = 1..depth the letters (K, L), by parent and
     then new letter, which never repeats the last one; the matrices
-    (K, n+1, n+1), drifted ones repaired every REORTH_EVERY letters; and the
+    (K, n+1, n+1), Lorentz-checked every REORTH_EVERY letters; and the
     images of s as rows of the walk's vertex list: index (K, n+1) and the
     fresh vertices (K, n) the level adds to the list.  The list is the
     n+1 vertices of s, then every level's fresh vertices in order, so the

@@ -110,11 +110,14 @@ def _relative_defect(M):
 
 
 def _make_isometry_by_formula(M):
-    """make_isometry on one matrix, as a reference for the stacked checks."""
-    defect = float(_relative_defect(M))
-    if defect > 1e-8:
-        raise NotLorentz(f"form defect {defect:.3e} exceeds 1e-08")
-    if defect > 1e-14:
+    """make_isometry on one matrix, as a reference for the stacked checks:
+    kept at rounding for its scale, repaired while the defect is small,
+    rejected beyond."""
+    J = minkowski_matrix(len(M) - 1)
+    defect = float(np.max(np.abs(M.T @ J @ M - J)))
+    if _relative_defect(M) > 1e-13:
+        if defect > 1e-8:
+            raise NotLorentz(f"form defect {defect:.3e} exceeds 1e-08")
         M = _gram_schmidt_j(M)
     if M[-1, -1] <= 0:
         raise TimeReversing("matrix reverses the time orientation")
@@ -202,9 +205,10 @@ def test_random_isometries_past_overflow_raise_out_of_model():
 def test_lorentz_stack_repairs_and_raises_like_make_isometry():
     rng = np.random.default_rng(41)
     for n in (2, 3, 4):
-        M, _ = random_isometries(rng, n, 12, 1.5)
+        exact, _ = random_isometries(rng, n, 12, 1.5)
         # rows 1, 4, ... drift and take the Gram-Schmidt repair; the rest
         # pass unchanged
+        M = exact.copy()
         M[1::3] += rng.standard_normal(M[1::3].shape) * 1e-10
         out, signs = _lorentz_stack(M)
         for i, (row, got, sign) in enumerate(zip(M, out, signs)):
@@ -217,6 +221,8 @@ def test_lorentz_stack_repairs_and_raises_like_make_isometry():
             scale = max(1.0, np.abs(row).max())
             assert np.abs(got - ref.matrix).max() <= 1e-12 * scale
             assert _relative_defect(got) <= 2e-15
+            # and the repair lands next to the matrix that drifted
+            assert np.abs(got - exact[i]).max() <= 1e-9 * scale
             assert not np.array_equal(got, row)
         # the first failing row in stack order raises its own error
         bad = M.copy()
@@ -239,7 +245,37 @@ def test_make_isometry_accepts_long_random_isometries():
         for row, sign in zip(M, signs):
             g = make_isometry(row)
             assert g.sign == sign
+            assert np.abs(g.matrix - row).max() <= 1e-12 * np.abs(row).max()
             assert _relative_defect(g.matrix) <= 1e-14
+
+
+def test_make_isometry_repairs_only_what_it_moves_little():
+    # Gram-Schmidt against the form moves the entries by about the
+    # absolute defect times max|M|.  On a boost with cosh r = 1e6, entries
+    # a relative 1e-13 off give an absolute defect near 1: that must
+    # raise, not come back 10% away from the input.  Rounding-level drift
+    # at that scale is kept as it is.
+    rng = np.random.default_rng(5)
+    for c in (1e2, 1e4, 1e6):
+        B = np.eye(4)
+        B[0, 0] = B[3, 3] = c
+        B[0, 3] = B[3, 0] = np.sqrt(c * c - 1.0)
+        for eta in (1e-15, 1e-14, 1e-13, 1e-12):
+            M = B * (1.0 + eta * rng.standard_normal(B.shape))
+            try:
+                g = make_isometry(M)
+            except NotLorentz:
+                # drift at rounding for the scale is never refused
+                assert eta >= 1e-13
+                continue
+            # what comes back lies next to the input and to the boost
+            assert np.abs(g.matrix - M).max() <= 1e-8 * c
+            assert np.abs(g.matrix - B).max() <= 1e-8 * c
+            if eta <= 1e-14:
+                assert np.array_equal(g.matrix, M)
+    M = B * (1.0 + 1e-13 * rng.standard_normal(B.shape))
+    with pytest.raises(NotLorentz, match="form defect"):
+        make_isometry(M)
 
 
 def test_sign_is_multiplicative():

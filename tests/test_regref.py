@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,13 +335,35 @@ def test_density_probe_monotone():
 def test_reflection_walk_n2_depth_16_stays_lorentz_at_its_scale():
     # entries reach 2.6e6 at 16 letters, where the form defect is rounded
     # at about eps max|G|^2; measured against that scale it stays at
-    # rounding on every level
+    # rounding on every level.  The Lorentz check must leave such rows
+    # alone: a repair there would move them by about the absolute defect
+    # times max|G|, so at 8 and 16 letters the matrices stay within 1e-13
+    # of the letters' products taken without repair, in floats on the
+    # whole level and in 40 digits on a sample with its worst row
     s = reference_regular(2, 1)
+    R = np.array([r.matrix for r in face_reflections(s)])
     J = minkowski_matrix(2)
+    rng = np.random.default_rng(16)
     for letters, G, _, _ in reflection_walk(s, face_reflections(s), 16):
+        scale = np.maximum(1.0, np.abs(G).max(axis=(1, 2)))
         defect = np.abs(np.swapaxes(G, 1, 2) @ J @ G - J).max(axis=(1, 2))
-        scale = np.maximum(1.0, np.abs(G).max(axis=(1, 2))) ** 2
-        assert (defect / scale).max() <= 1e-13
+        assert (defect / scale ** 2).max() <= 1e-13
+        if letters.shape[1] not in (8, 16):
+            continue
+        P = np.broadcast_to(np.eye(3), G.shape)
+        for column in letters.T:
+            P = P @ R[column]
+        assert (np.abs(G - P).max(axis=(1, 2)) / scale).max() <= 1e-13
+        sample = np.append(rng.choice(len(G), 8, replace=False),
+                           np.argmax(defect))
+        with mpmath.workdps(40):
+            Rm = [mpmath.matrix(r.tolist()) for r in R]
+            for k in sample:
+                exact = mpmath.eye(3)
+                for a in letters[k]:
+                    exact = exact * Rm[a]
+                exact = np.array(exact.tolist(), dtype=float)
+                assert np.abs(G[k] - exact).max() <= 1e-13 * scale[k]
     assert letters.shape == (3 * 2 ** 15, 16) and np.abs(G).max() > 1e6
 
 
