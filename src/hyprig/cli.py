@@ -31,7 +31,7 @@ from .boundary import (
 from .errors import DimensionMismatch, HyprigError
 from .hypcore import IdealPoint, SpacePoint, identity_isometry, make_isometry
 from .lattice import load_preset, preset_names
-from .regref import density_probe, orbit, reference_regular
+from .regref import density_probe, orbit, reference_regular, walk_size
 from .rigidity import consensus, preserves_regular, verify_conjugacy
 from .smear import milnor_wood_check, vol_of_rep, volume_ratio
 from .volcocycle import v_n, vol, vol_defect
@@ -259,7 +259,12 @@ def cmd_preserves_regular(args):
 def cmd_reconstruct(args):
     phi = _map_from_arg(args, args.n)
     h = consensus(phi, args.n, m=args.seeds, depth=args.depth, seed=args.seed)
-    _emit({"matrix": h.matrix.tolist(), "sign": h.sign}, args)
+    walk = walk_size(args.n, args.depth)
+    # the pass maps each seed's n + 1 vertices and one fresh vertex per
+    # simplex past the root
+    _emit({"matrix": h.matrix.tolist(), "sign": h.sign,
+           "diagnostics": {"walk_size": walk,
+                           "phi_points": args.seeds * (args.n + walk)}}, args)
     return 0
 
 

@@ -9,12 +9,12 @@ at once.  `reconstruct_isometry` certifies the candidate on
 `regref.reflection_walk` of the seed simplex.  `consensus` reconstructs
 from m random seeds g.ref in one pass: all m seed isometries come from
 one stacked solve, the walk of g.ref is g applied to the cached walk of
-the reference simplex (`regref.reference_walk`), so the vertices each
-word length of all m walks adds are moved, mapped and checked in one
-batch, and the m reconstructions must agree.  The pass raises the first
-failure it meets; only then are the seeds replayed one by one, so that
-the error is the first failing seed's.  `verify_conjugacy` confirms the
-resulting conjugation of lattice generators.
+the reference simplex (`regref.reference_walk`), phi maps every vertex
+of all m walks in one call, and all word lengths are checked at once;
+the m reconstructions must agree.  The pass raises the first failure it
+meets; only then are the seeds replayed one by one, so that the error
+is the first failing seed's.  `verify_conjugacy` confirms the resulting
+conjugation of lattice generators.
 """
 
 from __future__ import annotations
@@ -181,76 +181,73 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
     The candidate h solves phi on the seed vertices alone; it is then
     tested on the vertex each breadth-first face reflection adds, to the
     given depth, with the image orientation required to alternate in
-    step with the source orientation.  Each level's new vertices are
-    mapped by phi in one batch before its checks, which raise at the
-    first failing child.
+    step with the source orientation.  phi maps all walk vertices in one
+    batch before any check, so an error phi raises itself comes first;
+    the checks raise at the first failing child in walk order.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    walk = ((letters, fresh[None], index) for letters, _, index, fresh
-            in reflection_walk(seed_simplex, face_reflections(seed_simplex),
-                               depth))
+    fresh, index, parity = _flat_walk(seed_simplex.base.n, (
+        (letters, index, fresh) for letters, _, index, fresh in
+        reflection_walk(seed_simplex, face_reflections(seed_simplex), depth)))
     H, signs, worst = _reconstruct(phi, _vertex_array(seed_simplex)[None],
-                                   walk, tol, image_tol)
+                                   fresh[None], index, parity, tol, image_tol)
     return ReconstructionResult(h=Isometry(H[0], int(signs[0])),
                                 max_orbit_mismatch=float(worst[0]),
                                 depth=depth)
 
 
-def _reconstruct(phi, X, walk, tol, image_tol):
+def _flat_walk(n, levels):
+    """The levels (letters, index, fresh) of a reflection walk as one: the
+    fresh vertices (F, n) in breadth-first order, and the index rows
+    (1+F, n+1) and parities (-1)^L (1+F,) of its simplices, the root
+    first, into the root's n+1 vertices followed by the fresh ones."""
+    root = (np.zeros((1, 0), dtype=np.int64), np.arange(n + 1)[None],
+            np.empty((0, n)))
+    letters, index, fresh = zip(root, *levels)
+    parity = np.concatenate([np.full(len(w), (-1) ** w.shape[1])
+                             for w in letters])
+    return np.concatenate(fresh), np.concatenate(index), parity
+
+
+def _reconstruct(phi, X, fresh, index, parity, tol, image_tol):
     """`reconstruct_isometry` on m seed simplices, the rows of X
     (m, n+1, n), at once: their candidates as matrices (m, n+1, n+1) and
     signs (m,), and their largest orbit mismatches (m,).
 
-    walk yields, per word length, the letters (K, L), the fresh vertices
-    (m, K, n) the level adds to every seed's walk and the index rows
-    (K, n+1) of its simplices, as `regref.reflection_walk` gives them;
-    the vertex list of seed i starts with X[i].  The seed images are
-    taken one point at a time, and all m candidates come from one stacked
-    `_pair_isometries` solve.  Each level then maps its fresh vertices of
-    all seeds by one `evaluate_many` call, compares them with their
-    images under the candidates, and checks the orientations of the image
-    simplices, gathered from the seed images and every level's images so
-    far; only then does the next level reach phi.  The first failure met
-    raises, which for m > 1 need not be the first failing seed's.
+    fresh (m, F, n), index and parity are each seed's walk as
+    `_flat_walk` gives it; seed i's vertex list is X[i], then fresh[i].
+    One `evaluate_many` call maps all vertex lists; the seed images are
+    gated for regularity and solved by one stacked `_pair_isometries`.
+    One `act_ideal_many` compares every fresh image with the candidates',
+    and one `orientation_signs` checks every image simplex against the
+    root image's orientation times its parity.  The first failing seed
+    raises at its first failing child, in walk order.
     """
-    images = [[phi(IdealPoint(x)) for x in Xi] for Xi in X]
-    Y = np.array([[v.coords for v in img] for img in images])
+    k, n = X.shape[1:]
+    points = np.concatenate([X, fresh], axis=1)
+    mapped = evaluate_many(phi, points.reshape(-1, n)).reshape(points.shape)
+    Y = mapped[:, :k]
     for i in np.flatnonzero(~regular_mask(Y, image_tol)):
-        _check_seed_image(images[i], image_tol)
+        try:  # is_regular tells coincident vertices from irregular ones
+            is_regular([IdealPoint(y) for y in Y[i]], image_tol)
+        except DegenerateSimplex as exc:
+            raise ImageNotRegular(str(exc)) from exc
+        raise ImageNotRegular("image of the seed simplex is not regular")
     H, signs = _pair_isometries(X, Y, max(REGULARITY_TOL, image_tol))
-    img_or = orientation_signs(Y)
-    worst = np.zeros(len(X))
-    mapped = Y
-    for letters, fresh, index in walk:
-        img = evaluate_many(phi, fresh.reshape(-1, fresh.shape[-1])
-                            ).reshape(fresh.shape)
-        gaps = np.max(np.abs(act_ideal_many(H, fresh) - img), axis=-1)
-        mapped = np.concatenate([mapped, img], axis=1)
-        simplices = mapped[:, index]
-        misoriented = (orientation_signs(simplices.reshape(
-            -1, *simplices.shape[2:])).reshape(gaps.shape)
-                       != (-1) ** letters.shape[1] * img_or[:, None])
-        bad = (gaps > tol) | misoriented
-        failing = np.flatnonzero(bad.any(axis=1))
-        if len(failing):
-            i = failing[0]
-            gap = float(gaps[i, np.argmax(bad[i])])
-            raise OrbitMismatch(
-                f"orbit vertex deviates by {gap:.3e} > {tol:.3e}"
-                if gap > tol else "image orientation fails to alternate",
-                mismatch=gap)
-        worst = np.maximum(worst, np.max(gaps, axis=1))
-    return H, signs, worst
-
-
-def _check_seed_image(img_verts, image_tol):
-    """The regularity gate on one seed image, with the error of its test."""
-    try:
-        if not is_regular(img_verts, image_tol):
-            raise ImageNotRegular("image of the seed simplex is not regular")
-    except DegenerateSimplex as exc:
-        raise ImageNotRegular(str(exc)) from exc
+    gaps = np.max(np.abs(act_ideal_many(H, fresh) - mapped[:, k:]), axis=-1)
+    orient = orientation_signs(mapped[:, index].reshape(-1, k, n)
+                               ).reshape(len(X), -1)
+    bad = (gaps > tol) | (orient[:, 1:] != parity[1:] * orient[:, :1])
+    failing = np.flatnonzero(bad.any(axis=1))
+    if len(failing):
+        i = failing[0]
+        gap = float(gaps[i, np.argmax(bad[i])])
+        raise OrbitMismatch(f"orbit vertex deviates by {gap:.3e} > {tol:.3e}"
+                            if gap > tol else
+                            "image orientation fails to alternate",
+                            mismatch=gap)
+    return H, signs, np.max(gaps, axis=1, initial=0.0)
 
 
 def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
@@ -260,15 +257,17 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
 
     The m isometries g are drawn as one stack, and each seed's walk is g
     applied to the cached reference walk: its vertex list starts with the
-    seed vertices, and only each level's fresh vertices are moved.  All
-    seeds are reconstructed in one pass.  If that pass raises, the seeds
-    are reconstructed again one by one, and the first that raises on its
-    own raises its error: the error of reconstructing the seeds one after
-    the other.
+    seed vertices, and only the fresh vertices are moved.  All seeds are
+    reconstructed in one pass, in which phi maps every vertex of every
+    walk before any check, so an error phi raises itself anywhere on a
+    walk comes before a failing check of the same seed.  If the pass
+    raises, the seeds are reconstructed again one by one, and the first
+    that raises on its own raises its error: the error of reconstructing
+    the seeds one after the other.
 
-    The pass holds the levels of all m walks at once, so it raises
-    BudgetExceeded, before any level is mapped, when m walks would hold
-    more than MAX_WALK_SIZE simplices in all."""
+    The pass holds all m walks at once, so it raises BudgetExceeded,
+    before phi sees any point, when they would hold more than
+    MAX_WALK_SIZE simplices in all."""
     if m < 2:
         raise ValueError("consensus needs at least 2 seeds")
     if depth < 0:
@@ -284,12 +283,11 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
     Y = (G[:, None] @ null_lifts(ref)[None, :, :, None])[..., 0]
     X = Y[..., :-1] / Y[..., -1:]
     X = X / np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0]
-    levels = reference_walk(n, depth)
+    fresh, index, parity = _flat_walk(n, reference_walk(n, depth))
 
     def reconstruct(k):
-        walk = ((letters, act_ideal_many(G[k], fresh), index)
-                for letters, index, fresh in levels)
-        return _reconstruct(phi, X[k], walk, ORBIT_TOL, IMAGE_TOL)
+        return _reconstruct(phi, X[k], act_ideal_many(G[k], fresh), index,
+                            parity, ORBIT_TOL, IMAGE_TOL)
 
     try:
         H, signs, _ = reconstruct(slice(None))

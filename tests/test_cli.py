@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hyprig
+from hyprig import rigidity
 from hyprig.boundary import make_boundary_map, map_to_json, measure_to_json
 from hyprig.boundary import BoundaryMeasure
 from hyprig.cli import run
@@ -253,7 +254,7 @@ def test_map_of_wrong_dimension_exits_1(tmp_path, capsys, command):
     assert json.loads(captured.err)["error"] == "DimensionMismatch"
 
 
-def test_rigidity_pipeline_via_cli(tmp_path, capsys):
+def test_rigidity_pipeline_via_cli(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(9)
     g = random_isometry(rng, 3, 1.0, orientation=1)
     phi = make_boundary_map("planted_isometry", g=g)
@@ -267,11 +268,22 @@ def test_rigidity_pipeline_via_cli(tmp_path, capsys):
     assert out["orientation_mode"] == "same"
 
     h_path = tmp_path / "h.json"
+    mapped = []
+    evaluate_many = rigidity.evaluate_many
+
+    def counted(phi, X):
+        mapped.append(len(X))
+        return evaluate_many(phi, X)
+
+    monkeypatch.setattr(rigidity, "evaluate_many", counted)
     code, out = run_json(capsys, ["reconstruct", "--map", str(map_path),
                                   "--n", "3", "--seeds", "3", "--depth", "2",
                                   "--seed", "4", "--out", str(h_path)])
     assert code == 0
     assert np.max(np.abs(np.asarray(out["matrix"]) - g.matrix)) < 1e-8
+    # 1 + 4 + 12 simplices per walk; the one pass maps 3 (4 + 16) rows
+    assert out["diagnostics"] == {"walk_size": 17, "phi_points": 60}
+    assert mapped == [60]
 
     rho_path = tmp_path / "rho.json"
     from hyprig.lattice import load_preset

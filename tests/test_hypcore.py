@@ -165,7 +165,8 @@ def test_random_isometries_match_per_draw_formula_bit_for_bit(n, orientation):
 
 def test_act_ideal_matches_formula_bit_for_bit():
     # the one-point action and the null lifts keep the arithmetic of the
-    # formulas below, on which reconstructed isometries depend bit for bit
+    # formulas below, which consensus repeats on its stack of seeds so
+    # that its seed vertices are bit for bit those act_ideal gives
     rng = np.random.default_rng(43)
     for n in (2, 3, 4):
         G, signs = random_isometries(rng, n, 20, 2.5)
