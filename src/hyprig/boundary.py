@@ -11,6 +11,7 @@ smooth seeded perturbations of them, tabulated samples and constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -113,7 +114,8 @@ def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10) -> SpacePoint:
     eta, w = _atom_arrays(mu)
     eye = np.eye(mu.n)
     v = w @ eta
-    res = np.linalg.norm(v)
+    # the residual norm as np.linalg.norm forms it, without its overhead
+    res = math.sqrt(v.dot(v))
     steps = []
     for _ in range(BARYCENTER_MAX_ITER):
         if res <= tol:
@@ -123,7 +125,7 @@ def conformal_barycenter(mu: BoundaryMeasure, tol: float = 1e-10) -> SpacePoint:
             if s @ s < 1.0 - 1e-12:
                 moved = _gamma(eta, s)
                 v_s = w @ moved
-                res_s = np.linalg.norm(v_s)
+                res_s = math.sqrt(v_s.dot(v_s))
                 if res_s < res:
                     break
             s = 0.5 * s
@@ -212,7 +214,7 @@ def make_boundary_map(kind: str, **params) -> BoundaryMap:
             raw = (X @ A.T + c) / bound
             tang = raw - np.einsum("ij,ij->i", raw, eta)[:, None] * eta
             out = eta + amplitude * tang
-            return out / np.linalg.norm(out, axis=1, keepdims=True)
+            return out / np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
 
         return BoundaryMap(kind, dict(params), _pointwise(ev_many), ev_many)
 

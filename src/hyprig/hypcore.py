@@ -73,6 +73,13 @@ def stack_det(M) -> np.ndarray:
     return np.linalg.det(M)
 
 
+def _frame_signs(Q: np.ndarray) -> np.ndarray:
+    """sign(det Q) of orthogonal frames Q (..., n, n), as +1 or -1, from
+    `stack_det` (det Q = +-1 to rounding, so the sign is never in
+    doubt)."""
+    return np.where(stack_det(Q) > 0, 1, -1)
+
+
 def mink(x, y) -> float:
     """Minkowski inner product of two vectors (time coordinate last)."""
     x = np.asarray(x, dtype=float)
@@ -523,23 +530,26 @@ def random_isometries(rng, n: int, k: int, max_translation: float = 1.0,
     orientation signs (k,).
 
     The generator is read draw by draw, as k calls read it: the Gaussian
-    block of the frame, the translation length, the Gaussian direction.
-    The frames, the transvections and their products are then formed on
-    the whole stack.  A translation too long for the floating-point
+    block of the frame, the translation length, the Gaussian direction,
+    each written in place.  The frames, their orientation signs, the
+    transvections and their products are then formed on the whole
+    stack.  A translation too long for the floating-point
     transvection, one that leaves a matrix entry infinite or NaN, raises
     OutOfModel."""
     A = np.empty((k, n, n))
     d = np.empty(k)
     u = np.empty((k, n))
     for i in range(k):
-        A[i] = rng.standard_normal((n, n))
+        rng.standard_normal(out=A[i])
         d[i] = rng.uniform(0.0, max_translation)
-        v = rng.standard_normal(n)
-        u[i] = v / np.linalg.norm(v)
+        v = rng.standard_normal(out=u[i])
+        # the arithmetic of np.linalg.norm(v), without its call overhead
+        v /= math.sqrt(v.dot(v))
+    frames = _frames(A, orientation)
     rot = np.zeros((k, n + 1, n + 1))
-    rot[:, :n, :n] = _frames(A, orientation)
+    rot[:, :n, :n] = frames
     rot[:, n, n] = 1.0
-    rot, signs = _lorentz_stack(rot)
+    signs = _frame_signs(frames)
     # The transvection carrying the basepoint o to q is the product of the
     # symmetries at the midpoint of o and q and at o.
     o = basepoint(n).coords

@@ -10,7 +10,8 @@ Sampling of the invariant probability measure on the quotient uses the
 decomposition of an isometry into (base point, frame): base points are
 importance-sampled in the fundamental domain, cusp included, against the
 volume form, frames are Haar-uniform in O(n), and each sample carries a
-density-ratio weight whose batch average is 1.  The
+density-ratio weight whose batch average is 1.  The samples are kept as
+(base point, frame), and act on ideal points without a matrix.  The
 cells are drawn by inverse CDF and the feet as normalised exponential
 spacings, the very draws of Generator.choice and Generator.dirichlet;
 the frames are the Gram-Schmidt orthonormalisations of Gaussian
@@ -19,6 +20,7 @@ matrices by `hypcore.gram_schmidt` (Mezzadri, Notices AMS 54, 2007).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -32,13 +34,13 @@ from .errors import PresetCorrupt, UnknownPreset
 from .hypcore import (
     IdealPoint,
     Isometry,
+    _frame_signs,
     act_ideal,
     gram_schmidt,
     halfspace_chart,
     halfspace_to_hyperboloid,
     identity_isometry,
     make_isometry,
-    stack_det,
 )
 from .volcocycle import v_n, vol
 
@@ -101,14 +103,20 @@ class HaarSample:
 
 @dataclass(frozen=True)
 class HaarBatch:
-    """N weighted samples of the invariant measure, stored as arrays.
+    """N weighted samples of the invariant measure, stored as drawn.
 
-    ``matrices`` (N, n+1, n+1) are the Lorentz matrices of the sampled
-    isometries, ``signs`` their orientation characters, ``weights`` the
-    density ratios and ``cells`` the cells of the base points.  Indexing
-    or iterating builds one :class:`HaarSample` at a time."""
+    Sample i is the isometry g = (transvection to a base point) o
+    (frame rotation): ``points`` (N, n+1) are the base points (y, y0) on
+    the hyperboloid and ``frames`` (N, n, n) the rotations in O(n);
+    ``signs`` are the orientation characters, ``weights`` the density
+    ratios and ``cells`` the cells of the base points.  `act_ideal`
+    moves ideal points by the samples without forming a matrix;
+    ``matrices`` forms the (N, n+1, n+1) Lorentz matrices once, on first
+    use.  Indexing or iterating builds one :class:`HaarSample` at a time
+    from them."""
 
-    matrices: np.ndarray
+    points: np.ndarray
+    frames: np.ndarray
     signs: np.ndarray
     weights: np.ndarray
     cells: np.ndarray
@@ -122,6 +130,46 @@ class HaarBatch:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+    # g = [[I + y y^T/(1+y0), y], [y^T, y0]] @ diag(R, 1): the transvection
+    # carrying the basepoint to (y, y0), after the frame rotation R.
+    # `matrices` writes it out and `act_ideal` applies it to null lifts.
+
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        """The Lorentz matrices (N, n+1, n+1) of the samples."""
+        n = self.frames.shape[-1]
+        y, y0, R = self.points[:, :n], self.points[:, n], self.frames
+        yR = np.einsum("ij,ijk->ik", y, R)
+        M = np.empty((len(R), n + 1, n + 1))
+        M[:, :n, :n] = R + (y[:, :, None] * yR[:, None, :]
+                           / (1.0 + y0)[:, None, None])
+        M[:, :n, n] = y
+        M[:, n, :n] = yR
+        M[:, n, n] = y0
+        return M
+
+    def act_ideal(self, X) -> np.ndarray:
+        """Ideal points X (k, m, n) moved by the samples, as unit vectors
+        (N, m, n): the N rows split into k equal blocks in order (the
+        streams of a stacked batch), and each sample of block i moves the
+        m points X[i].
+
+        With eta = R xi, g (xi, 1) is (eta + y ((y.eta)/(1+y0) + 1),
+        y.eta + y0), whose last entry is positive, so its first n entries
+        normalised are the image; y.eta is taken as (R^T y).xi.  Each
+        block's rotations act on its points in one matrix product."""
+        k, m, n = X.shape
+        XT = np.swapaxes(X, -1, -2)
+        y = self.points[:, :n]
+        # eta[i, s, :, a] = R xi_a for sample s of block i
+        eta = np.matmul(self.frames.reshape(k, -1, n), XT).reshape(k, -1, n, m)
+        yR = np.einsum("ij,ijk->ik", y, self.frames)   # R^T y
+        s = np.matmul(yR.reshape(k, -1, n), XT)
+        c = s / (1.0 + self.points[:, n]).reshape(k, -1, 1) + 1.0
+        V = eta + c[:, :, None, :] * y.reshape(k, -1, n, 1)
+        V /= np.sqrt(np.einsum("...ia,...ia->...a", V, V))[..., None, :]
+        return np.swapaxes(V, -1, -2).reshape(-1, m, n)
 
 
 def _resolve_word(generators, word) -> Isometry:
@@ -248,13 +296,6 @@ def load_preset(name: str) -> LatticePreset:
                          charts=charts, covolume=covol)
 
 
-def _frame_signs(Q: np.ndarray) -> np.ndarray:
-    """sign(det Q) of orthogonal frames Q (N, n, n), as +1 or -1, from
-    `stack_det` (det Q = +-1 to rounding, so the sign is never in
-    doubt)."""
-    return np.where(stack_det(Q) > 0, 1, -1)
-
-
 def sample_haar(preset: LatticePreset, seed, N: int,
                 stream=None) -> HaarBatch:
     """Draw N weighted samples of the invariant measure on the quotient.
@@ -265,44 +306,51 @@ def sample_haar(preset: LatticePreset, seed, N: int,
     cell base, and the analytic t^{-n} height marginal up to infinity),
     the frame is Haar-uniform in O(n).  The weight is the density ratio,
     so weighted averages estimate integrals against the invariant
-    probability measure.
+    probability measure.  The batch keeps each sample as its base point
+    and frame; no isometry matrix is formed unless ``matrices`` is read.
 
     ``(seed, stream)`` names one random stream: ``stream=None`` is the
     root ``SeedSequence(seed)``, an integer k is its child k (the one
     ``SeedSequence(seed).spawn()`` gives k-th).  A stream's N samples
-    are drawn at once, in this order: the cells, the barycentric
-    coordinates on the cell bases, the height quantiles and the Gaussian
-    frames.  Identical (seed, stream) pairs give identical batches;
-    distinct streams spawned from one seed are independent.
+    are drawn at once, in this order: the cell uniforms, the exponential
+    spacings of the barycentric coordinates on the cell bases, the height
+    quantiles and the Gaussian frames.  Identical (seed, stream) pairs
+    give identical batches; distinct streams spawned from one seed are
+    independent.
 
     ``stream`` may also be a sequence of stream ids.  Each id's N
-    samples are drawn as above and stacked stream-major into one batch
-    of len(stream) * N rows, equal bit for bit to concatenating the
-    single-stream batches; the geometry then runs once on all rows.
+    samples are drawn as above into one stream-major stack of
+    len(stream) * N rows, equal bit for bit to concatenating the
+    single-stream batches; everything after the draws, cells and
+    Dirichlet normalisation included, runs once on all rows.
     """
     n = preset.n
     d = n - 1
     ch = preset.charts
-    p_cell = ch.volume / preset.covolume
-    # the cells by inverse CDF, as Generator.choice(p=p_cell) draws them
-    cdf = p_cell.cumsum()
-    cdf /= cdf[-1]
-
     streams = [stream] if stream is None or np.ndim(stream) == 0 else stream
-    draws = []
-    for k in streams:
+    K = len(streams)
+    # random() and the out= forms give uniform(size=N) and the sized
+    # draws' numbers bit for bit
+    u_cell, u = np.empty((K, N)), np.empty((K, N))
+    E = np.empty((K, N, d + 1))
+    gauss = np.empty((K, N, n, n))
+    for i, k in enumerate(streams):
         # stream k is child k of SeedSequence(seed).spawn(), made directly
         rng = np.random.default_rng(np.random.SeedSequence(
             seed, spawn_key=() if k is None else (k,)))
-        cells_k = cdf.searchsorted(rng.random(N), side="right")
-        # the feet's barycentric coordinates as normalised exponential
-        # spacings, as Generator.dirichlet(np.ones(d + 1)) draws them
-        E = rng.standard_exponential((N, d + 1))
-        draws.append((cells_k, E * (1.0 / E.sum(axis=1, keepdims=True)),
-                      rng.uniform(size=N),
-                      rng.standard_normal((N, n, n))))
-    cells, lam, u, gauss = (np.concatenate(a) for a in zip(*draws))
-    N = len(cells)
+        rng.random(out=u_cell[i])
+        rng.standard_exponential(out=E[i])
+        rng.random(out=u[i])
+        rng.standard_normal(out=gauss[i])
+    N *= K
+    # the cells by inverse CDF, as Generator.choice(p=p_cell) draws them
+    cdf = (ch.volume / preset.covolume).cumsum()
+    cdf /= cdf[-1]
+    cells = cdf.searchsorted(u_cell.reshape(N), side="right")
+    # the feet's barycentric coordinates as normalised exponential
+    # spacings, as Generator.dirichlet(np.ones(d + 1)) draws them
+    E = E.reshape(N, d + 1)
+    lam = E * (1.0 / E.sum(axis=1, keepdims=True))
 
     # base point: uniform foot x on the cell base, height t in [h, oo)
     # with density proportional to t^{-n}, h the floor sphere above x;
@@ -312,24 +360,11 @@ def sample_haar(preset: LatticePreset, seed, N: int,
     h2 = np.maximum(ch.radius[cells] ** 2 - np.einsum("ij,ij->i", off, off),
                     1e-300)
     h = np.sqrt(h2)
-    t = h * (1.0 - u) ** (-1.0 / d)
+    t = h * (1.0 - u.reshape(N)) ** (-1.0 / d)
     # the density ratio: h^{-d}/d is the volume of the column over the
     # foot, and volume/area the cell's mean column
     weights = ch.area[cells] * h ** (-d) / (d * ch.volume[cells])
 
-    # the base point (x, t) on the hyperboloid, as (y, y0)
-    Y = halfspace_to_hyperboloid(x, t)
-    y, y0 = Y[:, :n], Y[:, n]
-
-    frames = gram_schmidt(gauss)
-
-    # g = [[I + y y^T/(1+y0), y], [y^T, y0]] @ diag(frame, 1): the
-    # transvection carrying the basepoint to (y, y0) after the rotation
-    yR = np.einsum("ij,ijk->ik", y, frames)
-    M = np.empty((N, n + 1, n + 1))
-    M[:, :n, :n] = frames + y[:, :, None] * yR[:, None, :] / (1.0 + y0)[:, None, None]
-    M[:, :n, n] = y
-    M[:, n, :n] = yR
-    M[:, n, n] = y0
-    signs = _frame_signs(frames)
-    return HaarBatch(matrices=M, signs=signs, weights=weights, cells=cells)
+    frames = gram_schmidt(gauss.reshape(N, n, n))
+    return HaarBatch(points=halfspace_to_hyperboloid(x, t), frames=frames,
+                     signs=_frame_signs(frames), weights=weights, cells=cells)

@@ -9,7 +9,7 @@ at once.  `reconstruct_isometry` certifies the candidate on
 `regref.reflection_walk` of the seed simplex.  `consensus` reconstructs
 from m random seeds g.ref in one pass: all m seed isometries come from
 one stacked solve, the walk of g.ref is g applied to the cached walk of
-the reference simplex (`regref.reference_walk`), phi maps every vertex
+the reference simplex (`regref.reference_flat_walk`), phi maps every vertex
 of all m walks in one call, and all word lengths are checked at once;
 the m reconstructions must agree.  The pass raises the first failure it
 meets; only then are the seeds replayed one by one, so that the error
@@ -46,8 +46,8 @@ from .hypcore import (Isometry, IdealPoint, _lorentz_stack,
                       minkowski_matrix, null_lifts, random_isometries)
 from .lattice import LatticePreset
 from .regref import (MAX_WALK_SIZE, RegularSimplex, face_reflections,
-                     reference_vertices, reference_walk, reflection_walk,
-                     walk_size)
+                     flat_walk, reference_flat_walk, reference_vertices,
+                     reflection_walk, walk_size)
 from .volcocycle import is_regular, orientation_signs, regular_mask
 
 REGULARITY_TOL = 1e-9
@@ -187,7 +187,7 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    fresh, index, parity = _flat_walk(seed_simplex.base.n, (
+    fresh, index, parity = flat_walk(seed_simplex.base.n, (
         (letters, index, fresh) for letters, _, index, fresh in
         reflection_walk(seed_simplex, face_reflections(seed_simplex), depth)))
     H, signs, worst = _reconstruct(phi, _vertex_array(seed_simplex)[None],
@@ -197,26 +197,13 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
                                 depth=depth)
 
 
-def _flat_walk(n, levels):
-    """The levels (letters, index, fresh) of a reflection walk as one: the
-    fresh vertices (F, n) in breadth-first order, and the index rows
-    (1+F, n+1) and parities (-1)^L (1+F,) of its simplices, the root
-    first, into the root's n+1 vertices followed by the fresh ones."""
-    root = (np.zeros((1, 0), dtype=np.int64), np.arange(n + 1)[None],
-            np.empty((0, n)))
-    letters, index, fresh = zip(root, *levels)
-    parity = np.concatenate([np.full(len(w), (-1) ** w.shape[1])
-                             for w in letters])
-    return np.concatenate(fresh), np.concatenate(index), parity
-
-
 def _reconstruct(phi, X, fresh, index, parity, tol, image_tol):
     """`reconstruct_isometry` on m seed simplices, the rows of X
     (m, n+1, n), at once: their candidates as matrices (m, n+1, n+1) and
     signs (m,), and their largest orbit mismatches (m,).
 
     fresh (m, F, n), index and parity are each seed's walk as
-    `_flat_walk` gives it; seed i's vertex list is X[i], then fresh[i].
+    `regref.flat_walk` gives it; seed i's vertex list is X[i], then fresh[i].
     One `evaluate_many` call maps all vertex lists; the seed images are
     gated for regularity and solved by one stacked `_pair_isometries`.
     One `act_ideal_many` compares every fresh image with the candidates',
@@ -283,7 +270,7 @@ def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,
     Y = (G[:, None] @ null_lifts(ref)[None, :, :, None])[..., 0]
     X = Y[..., :-1] / Y[..., -1:]
     X = X / np.sqrt(X[..., None, :] @ X[..., :, None])[..., 0]
-    fresh, index, parity = _flat_walk(n, reference_walk(n, depth))
+    fresh, index, parity = reference_flat_walk(n, depth)
 
     def reconstruct(k):
         return _reconstruct(phi, X[k], act_ideal_many(G[k], fresh), index,

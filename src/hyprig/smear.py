@@ -22,7 +22,7 @@ from .boundary import evaluate_many
 from .errors import IllConditioned
 # act_ideal is not called here; hyprig_bench's tracer patches
 # smear.act_ideal by name, so the name stays importable from this module.
-from .hypcore import act_ideal, act_ideal_many  # noqa: F401
+from .hypcore import act_ideal  # noqa: F401
 from .lattice import LatticePreset, sample_haar
 from .volcocycle import v_n, vol_batch
 
@@ -67,12 +67,12 @@ def _smear_block(preset, phi, simplices, n_samples, seed, stream):
     simplex i on the n_samples Haar samples of stream[i] (or, for k = 1,
     of the one stream ``stream``), as (k, N) values and (k, N) weights.
 
-    The k streams are drawn in one sample_haar call, and every sample's
-    matrix acts on its simplex through one act_ideal_many."""
+    The k streams are drawn in one sample_haar call, and each sample
+    moves its simplex through `HaarBatch.act_ideal`, from its base point
+    and frame: no isometry matrix is formed."""
     k, n = simplices.shape[0], simplices.shape[-1]
     batch = sample_haar(preset, seed, n_samples, stream=stream)
-    M = batch.matrices.reshape(k, n_samples, n + 1, n + 1)
-    moved = act_ideal_many(M, simplices[:, None])  # (k, N, n+1, n)
+    moved = batch.act_ideal(simplices)
     images = evaluate_many(phi, moved.reshape(-1, n))
     vols = vol_batch(images.reshape(-1, n + 1, n)).reshape(k, n_samples)
     w = batch.weights.reshape(k, n_samples)
@@ -83,11 +83,11 @@ def _row_stats(vals, w):
     """Per row of (k, N) values and weights: the mean, its standard
     error, the weights' effective sample fraction and largest weight."""
     N = vals.shape[1]
-    value = vals.mean(axis=1)
-    std_error = (vals.std(axis=1, ddof=1) / np.sqrt(N) if N > 1
-                 else np.zeros(len(vals)))
-    ww = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]  # row-wise w @ w
-    ess = w.sum(axis=1) ** 2 / (N * ww)
+    value = vals.sum(axis=1) / N
+    dev = vals - value[:, None]
+    std_error = (np.sqrt(np.einsum("ij,ij->i", dev, dev) / ((N - 1) * N))
+                 if N > 1 else np.zeros(len(vals)))
+    ess = w.sum(axis=1) ** 2 / (N * np.einsum("ij,ij->i", w, w))
     return value, std_error, ess, np.max(w, axis=1, initial=0.0)
 
 
@@ -139,15 +139,23 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
     flag records whether they pairwise agree within 3 sigma (the
     proportionality of the smeared cochain to the volume cocycle).
 
+    The test simplices are drawn from ``SeedSequence(seed,
+    spawn_key=(0,))``, the child ``SeedSequence(seed).spawn(1)[0]``.
+    That is also stream 0 of sample_haar, so simplex 0's vertices and
+    the cells and feet of its own samples come from the same 64-bit
+    words of one generator: they are not independent draws.
+
     The simplices are smeared in groups of max(1, SAMPLE_BLOCK //
     n_samples), each group's streams in one array pass; the result is
-    bit for bit that of m separate smear_integral calls.
+    bit for bit that of m separate smear_integral calls.  Every sample
+    moves its simplex from its base point and frame (`_smear_block`), so
+    no isometry matrix is formed.
     """
     if n_samples < 2:
         raise ValueError("volume_ratio needs n_samples >= 2 per simplex for "
                          f"a standard error, got {n_samples}")
     n = preset.n
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     simplices, denoms = _random_test_simplices(rng, n, m)
     # each group's statistics are taken before the next group is drawn,
     # so the samples of one group at a time are held, never all m streams
@@ -164,13 +172,14 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
     wts = 1.0 / sigs**2
     # pairwise agreement within 3 sigma
     gap = 3.0 * np.hypot(sigs[:, None], sigs)
+    # symmetric, with a false diagonal
     clash = np.abs(lams[:, None] - lams) > gap + 1e-12
     return RatioEstimate(
         value=float(np.sum(wts * lams) / np.sum(wts)),
         std_error=float(np.sum(wts) ** -0.5), bias_bound=0.0,
         n_samples=n_samples * m, seed=seed, ess_frac=float(ess.min()),
         max_weight=float(max_w.max()),
-        consistent=not np.any(np.triu(clash, 1)),
+        consistent=not clash.any(),
         per_simplex=tuple((lam, sig, 0.0) for lam, sig
                           in zip(lams.tolist(), sigs.tolist())))
 

@@ -4,11 +4,13 @@ volume_ratio against per-simplex smear_integral calls, the boundary maps
 against point-by-point reference loops, vol3_batch against quadrature,
 the exactness of vol2_batch, vol_batch against vol at n = 4, and the
 reproducibility, stream stacking, half-space lift and diagnostics of the
-Haar sampler."""
+Haar sampler, its closed-form matrices, and its matrix-free action against
+a 50-digit reference and on the smear path."""
 
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,10 +18,11 @@ from hyprig.boundary import make_boundary_map
 from hyprig.errors import DimensionMismatch
 from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many,
                             halfspace_to_hyperboloid, random_isometry)
-from hyprig.lattice import load_preset, sample_haar
+from hyprig.lattice import HaarBatch, load_preset, sample_haar
+from hyprig.regref import reference_vertices
 from hyprig.smear import (SAMPLE_BLOCK, SIGMA_FLOOR, RatioEstimate,
-                          _random_test_simplices, smear_integral,
-                          volume_ratio)
+                          _random_test_simplices, _smear_block,
+                          smear_integral, volume_ratio)
 from hyprig.volcocycle import (orientation_sign, vol, vol2_batch, vol3_batch,
                                vol_batch, voln)
 
@@ -403,6 +406,102 @@ def test_haar_batch_items(presets):
     assert (s.g.sign, s.weight, s.cell) == (b.signs[4], b.weights[4],
                                            b.cells[4])
     assert s.g.sign == (1 if np.linalg.det(s.g.matrix) > 0 else -1)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_haar_batch_matrices_are_the_closed_form(presets, name):
+    """matrices is [[R + y yR^T/(1+y0), y], [yR^T, y0]], yR = R^T y, from
+    the batch's base points and frames, bit for bit and formed once; it
+    carries the basepoint to the base point, and the samples built from
+    it are unchanged."""
+    p = presets[name]
+    n = p.n
+    b = sample_haar(p, 3, 200, stream=[0, 5])
+    y, y0, R = b.points[:, :n], b.points[:, n], b.frames
+    yR = np.einsum("ij,ijk->ik", y, R)
+    M = np.empty((400, n + 1, n + 1))
+    M[:, :n, :n] = R + (y[:, :, None] * yR[:, None, :]
+                       / (1.0 + y0)[:, None, None])
+    M[:, :n, n] = y
+    M[:, n, :n] = yR
+    M[:, n, n] = y0
+    assert np.array_equal(b.matrices, M)
+    assert b.matrices is b.matrices
+    assert np.array_equal(b.matrices[:, :, n], b.points)
+    for i in (0, 7, 399):
+        s = b[i]
+        assert np.array_equal(s.g.matrix, M[i])
+        assert (s.g.sign, s.weight, s.cell) == (b.signs[i], b.weights[i],
+                                               b.cells[i])
+
+
+def _exact_action(points, frames, X):
+    """The transvection-and-frame action of each sample on the points X
+    (m, n), in 50-digit arithmetic on the samples' floats."""
+    n = frames.shape[-1]
+    out = np.empty((len(points), len(X), n))
+    with mpmath.workdps(50):
+        for i, (P, R) in enumerate(zip(points, frames)):
+            y = [mpmath.mpf(float(v)) for v in P[:n]]
+            y0 = mpmath.mpf(float(P[n]))
+            for j, x in enumerate(X):
+                eta = [mpmath.fsum(mpmath.mpf(float(R[a, b])) * float(x[b])
+                                   for b in range(n)) for a in range(n)]
+                s = mpmath.fsum(ya * ea for ya, ea in zip(y, eta))
+                c = s / (1 + y0) + 1
+                V = [ea + c * ya for ea, ya in zip(eta, y)]
+                norm = mpmath.sqrt(mpmath.fsum(v * v for v in V))
+                out[i, j] = [float(v / norm) for v in V]
+    return out
+
+
+def test_haar_act_ideal_is_as_accurate_as_the_matrices(presets):
+    """On the 100 highest of 20 000 samples of each preset, where the
+    action cancels most, the matrix-free act_ideal is no less accurate
+    than act_ideal_many on the matrices, against a 50-digit reference.
+    Both forms lose digits like u y0^2 on points near the repelling end,
+    and which one is closer on one sample is a matter of rounding, so the
+    largest and the root-mean-square errors are compared over four seeds,
+    both presets and two simplices each."""
+    errors = {"free": [], "matrices": []}
+    for name in PRESETS:
+        p = presets[name]
+        n = p.n
+        simplices = (reference_vertices(n),
+                     unit_rows(np.random.default_rng(n), (n + 1, n)))
+        for seed in range(1, 5):
+            b = sample_haar(p, seed, 20_000)
+            top = np.argsort(b.points[:, n])[-100:]
+            for X in simplices:
+                exact = _exact_action(b.points[top], b.frames[top], X)
+                free = b.act_ideal(X[None])[top]
+                assert free.shape == exact.shape
+                errors["free"].append(np.abs(free - exact).ravel())
+                errors["matrices"].append(np.abs(
+                    act_ideal_many(b.matrices[top], X) - exact).ravel())
+    free, mat = (np.concatenate(errors[k]) for k in ("free", "matrices"))
+    assert free.max() <= mat.max()
+    assert np.sqrt(np.mean(free ** 2)) <= np.sqrt(np.mean(mat ** 2))
+
+
+def test_smear_path_never_forms_the_matrices(presets, monkeypatch):
+    """_smear_block, and so smear_integral and volume_ratio, move the
+    simplices from the base points and frames: with the matrices
+    property raising, every map kind still smears on both presets."""
+    def no_matrices(self):
+        raise AssertionError("the smear path formed the Haar matrices")
+
+    monkeypatch.setattr(HaarBatch, "matrices", property(no_matrices))
+    with pytest.raises(AssertionError):
+        sample_haar(presets[PRESETS[0]], 1, 4).matrices
+    for name in PRESETS:
+        p = presets[name]
+        for kind in KINDS:
+            phi = make_map(kind, p.n, np.random.default_rng(3), table_size=40)
+            vals, w = _smear_block(p, phi, unit_rows(
+                np.random.default_rng(4), (3, p.n + 1, p.n)), 16, 5, range(3))
+            assert vals.shape == w.shape == (3, 16)
+            assert np.isfinite(volume_ratio(p, phi, 16, 5, m=3).value)
 
 
 def test_weight_diagnostics(presets):

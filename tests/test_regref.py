@@ -20,7 +20,9 @@ from hyprig.regref import (
     RegularSimplex,
     density_probe,
     face_reflections,
+    flat_walk,
     orbit,
+    reference_flat_walk,
     reference_regular,
     reference_vertices,
     reference_walk,
@@ -295,6 +297,19 @@ def test_reference_walk_is_cached_read_only_and_filled_on_first_call():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["0", "0"]
+
+
+def test_reference_flat_walk_is_the_cached_walk_flattened_once():
+    for n, depth in ((2, 5), (3, 3), (4, 2)):
+        flat = reference_flat_walk(n, depth)
+        assert reference_flat_walk(n, depth) is flat
+        for got, want in zip(flat, flat_walk(n, reference_walk(n, depth))):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got.flat[0] = 0
+        fresh, index, parity = flat
+        assert len(index) == len(parity) == walk_size(n, depth)
+        assert len(fresh) == walk_size(n, depth) - 1
 
 
 def test_orbit_deep_words_stay_lorentz():

@@ -189,6 +189,19 @@ def test_cocycle_identity():
     assert vol_defect([xi] * 5) == 0.0
 
 
+def test_vol_defect_is_the_face_loop_bit_for_bit():
+    """The one vol_batch call over the n+2 faces gives the alternating
+    sum of vol over the faces, added in face order, bit for bit."""
+    rng = np.random.default_rng(19)
+    for n in (2, 3, 4):
+        for _ in range(100):
+            pts = [random_ideal(rng, n) for _ in range(n + 2)]
+            total = 0.0
+            for j in range(n + 2):
+                total += (-1) ** j * vol(pts[:j] + pts[j + 1:]).value
+            assert vol_defect(pts).hex() == total.hex()
+
+
 def test_orientation_sign_basics():
     ref = reference_regular(3, 1)
     pts = list(ref.base.vertices)
