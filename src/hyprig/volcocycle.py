@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSimplex, UnsupportedDimension
-from .hypcore import halfspace_chart, null_lifts, stack_det
+from .hypcore import POINT_TOL, halfspace_chart, null_lifts, stack_det
 from .quadrature import integrate_simplex
 
 COINCIDENCE_TOL = 1e-12
@@ -278,18 +278,28 @@ def _det_error(M):
 
 
 _EDGE_I, _EDGE_J = np.triu_indices(5, 1)
+# the Gram entry (r, c) as a column of the pair gaps of `_pair_gaps2`,
+# lexicographic like _EDGE_I, _EDGE_J, padded by a zero column for r = c
+_PAIR = np.full((5, 5), 10)
+_PAIR[_EDGE_I, _EDGE_J] = _PAIR[_EDGE_J, _EDGE_I] = np.arange(10)
 # the 4x4 minors of the 5x5 Gram matrix that vol4_batch needs: the five
 # principal ones, then the ten (i, j), i < j, with row i and column j cut
 _MINOR_ROWS = np.array([[r for r in range(5) if r != i]
                         for i in [*range(5), *_EDGE_I]])
 _MINOR_COLS = np.array([[c for c in range(5) if c != j]
                         for j in [*range(5), *_EDGE_J]])
+_MINORS = _PAIR[_MINOR_ROWS[:, :, None], _MINOR_COLS[:, None, :]]
 _COFACTOR_SIGNS = (-1.0) ** (_EDGE_I + _EDGE_J)
-# for each pair i < j the other three vertices
-_TRIPLES = np.array([[k for k in range(5) if k not in (i, j)]
-                     for i, j in zip(_EDGE_I, _EDGE_J)]).T
-# vertex gaps of the regular ideal 4-simplex are sqrt(5/2)
-_REGULAR_GRAM = -1.25 * (1.0 - np.eye(5))
+# for each pair i < j, the pairs kl, km, lm of the other three vertices
+_OTHERS = np.array([[k for k in range(5) if k not in (i, j)]
+                    for i, j in zip(_EDGE_I, _EDGE_J)]).T
+_FACE_PAIRS = _PAIR[_OTHERS[[0, 0, 1]], _OTHERS[[1, 2, 2]]]
+# `_det_error` of the null lifts (xi, 1): every row has |xi| = 1 within
+# POINT_TOL, so the bound is the same for every simplex up to rounding.
+# Taken at rows of norm 1 + 2 POINT_TOL, the largest IdealPoint admits
+# with as much again for the rounding of the norms, it bounds them all.
+_LIFT_DET_ERROR = float(_det_error(null_lifts(
+    np.tile([1.0 + 2.0 * POINT_TOL, 0.0, 0.0, 0.0], (5, 1)))))
 
 
 def vol4_batch(P):
@@ -310,46 +320,50 @@ def vol4_batch(P):
     sin theta_ij = |det(lifts)| sqrt(-2 D_kl D_km D_lm/(C_ii C_jj)),
     {k, l, m} the other three vertices; theta_ij = atan2(sin, cos).  Each
     C_ii is the Gram determinant of a facet, so no step divides by a small
-    determinant of the whole simplex.
+    determinant of the whole simplex.  D itself is not formed either: the
+    ten pair gaps, with a zero for the diagonal, are the only distinct
+    entries, and the 15 minors and the sine numerators are read from them
+    by one gather each.
 
-    The bound is derived from the computation, not assumed: `_det_error` bounds
-    each determinant, which bounds each cosine and sine to first order;
-    an angle moves by at most (pi/2) |(dcos, dsin)|/|(cos, sin)|, and the
-    ten angles and the rounding of their sum make the bound.  Where a
-    facet determinant or det(lifts) is not known to within a quarter, the
-    bound is |value| + V4, since no ideal 4-simplex is larger than the
-    regular one.
+    The bound is derived from the computation, not assumed: `_det_error`
+    bounds each minor, and for det(lifts) it is a constant, since every
+    lift (xi, 1) has |xi| = 1 within POINT_TOL.  That bounds each cosine
+    and sine to first order; an angle moves by at most
+    (pi/2) |(dcos, dsin)|/|(cos, sin)|, and the ten angles and the
+    rounding of their sum make the bound.  Where a facet determinant or
+    det(lifts) is not known to within a quarter, the bound is
+    |value| + V4, since no ideal 4-simplex is larger than the regular one.
     """
     P = np.asarray(P, dtype=float)
-    lifts = null_lifts(P)
-    det = np.linalg.det(lifts)
+    det = np.linalg.det(null_lifts(P))
     eps = _signs(P, det)
-    live = eps != 0
-    gaps2 = _pair_gaps2(P)
-    D = np.zeros((len(P), 5, 5))
-    D[:, _EDGE_I, _EDGE_J] = D[:, _EDGE_J, _EDGE_I] = -0.5 * gaps2
-    # the dead rows compute the regular simplex, then are set to 0
-    D[~live] = _REGULAR_GRAM
-    det = np.where(live, np.abs(det), 1.0)
-    d_det = _det_error(lifts)
+    dead = eps == 0
+    any_dead = dead.any()
+    det = np.abs(det)
+    D = np.zeros((len(P), 11))
+    np.multiply(_pair_gaps2(P), -0.5, out=D[:, :10])
+    if any_dead:
+        # the dead rows compute the regular simplex, whose vertex gaps
+        # are sqrt(5/2), then are set to 0
+        D[dead, :10] = -1.25
+        det[dead] = 1.0
 
-    M = D[:, _MINOR_ROWS[:, :, None], _MINOR_COLS[:, None, :]]
+    M = D[:, _MINORS]
     minors = np.linalg.det(M)
     d_minors = _det_error(M)
     diag = np.abs(minors[:, :5])          # |C_ii|; every C_ii is < 0
     rel = d_minors[:, :5] / diag
     i, j = _EDGE_I, _EDGE_J
     den = np.sqrt(diag[:, i] * diag[:, j])
-    k, l, m = _TRIPLES
+    kl, km, lm = D[:, _FACE_PAIRS].transpose(1, 0, 2)
     cos = _COFACTOR_SIGNS * minors[:, 5:] / den
-    sin = det[:, None] * np.sqrt(
-        -2.0 * D[:, k, l] * D[:, k, m] * D[:, l, m]) / den
+    sin = det[:, None] * np.sqrt(-2.0 * kl * km * lm) / den
     # cumsum adds in index order whatever N is (sum may go pairwise), so
     # a simplex gets the same value alone and in a batch
     value = eps * (math.pi / 3.0) * np.abs(
         4.0 * math.pi - np.arctan2(sin, cos).cumsum(axis=-1)[:, -1])
 
-    rel_det = d_det / det
+    rel_det = _LIFT_DET_ERROR / det
     pair_rel = rel[:, i] + rel[:, j]
     dcos = (2.0 * (d_minors[:, 5:] / den + 0.5 * np.abs(cos) * pair_rel)
             + 4.0 * _U)
@@ -361,8 +375,9 @@ def vol4_batch(P):
     err = np.where(bounded, np.minimum(
         (math.pi / 3.0) * (dtheta.sum(axis=-1) + 64.0 * math.pi * _U),
         trivial), trivial)
-    value[~live] = 0.0
-    err[~live] = 0.0
+    if any_dead:
+        value[dead] = 0.0
+        err[dead] = 0.0
     return value, err
 
 
