@@ -51,10 +51,12 @@ class BoundaryMeasure:
             raise OutOfModel(f"weights sum to {total}, not 1")
         if any(w < 0 for _, w in atoms):
             raise OutOfModel("negative atom weight")
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                if np.linalg.norm(atoms[i][0].coords - atoms[j][0].coords) < MEASURE_TOL:
-                    raise OutOfModel("coincident atoms")
+        X = np.array([p.coords for p, _ in atoms])
+        diff = X[:, None] - X[None]
+        gaps2 = np.einsum("ijk,ijk->ij", diff, diff)
+        np.fill_diagonal(gaps2, np.inf)
+        if np.any(gaps2 < MEASURE_TOL ** 2):
+            raise OutOfModel("coincident atoms")
 
     @property
     def n(self) -> int:
@@ -62,7 +64,11 @@ class BoundaryMeasure:
 
 
 def push_forward(g: Isometry, mu: BoundaryMeasure) -> BoundaryMeasure:
-    return BoundaryMeasure(tuple((act_ideal(g, p), w) for p, w in mu.atoms))
+    """The image measure g_* mu: every atom moved by g in one
+    `act_ideal_many` call, its weight kept."""
+    X = act_ideal_many(g.matrix, np.array([p.coords for p, _ in mu.atoms]))
+    return BoundaryMeasure(tuple((IdealPoint(x), w)
+                                 for x, (_, w) in zip(X, mu.atoms)))
 
 
 def dominant_atom(mu: BoundaryMeasure):

@@ -281,7 +281,8 @@ def act_ideal_many(M, X) -> np.ndarray:
                                 f"of S^{X.shape[-1] - 1}")
     Y = np.matmul(null_lifts(X), np.swapaxes(M, -1, -2))
     V = Y[..., :-1] / Y[..., -1:]
-    return V / np.linalg.norm(V, axis=-1, keepdims=True)
+    # the arithmetic of np.linalg.norm(V, axis=-1), without its call overhead
+    return V / np.sqrt(np.add.reduce(V * V, axis=-1, keepdims=True))
 
 
 def _lift(p) -> np.ndarray:
@@ -498,6 +499,26 @@ def translation_to(x: SpacePoint) -> Isometry:
     return transvection(basepoint(x.n), x)
 
 
+def transvection_frames(P, R) -> np.ndarray:
+    """The Lorentz matrices T(p) diag(R, 1) (N, n+1, n+1) of hyperboloid
+    points P (N, n+1) and orthogonal frames R (N, n, n): the rotation by R
+    followed by the transvection T(p) carrying the basepoint to p.
+
+    With p = (y, y0) the product is written out,
+    [[R + y (y^T R) / (1 + y0), y], [y^T R, y0]], so that no matrix
+    product is formed and nothing cancels (1 + y0 >= 2)."""
+    n = R.shape[-1]
+    y, y0 = P[:, :n], P[:, n]
+    yR = np.einsum("ij,ijk->ik", y, R)
+    M = np.empty((len(R), n + 1, n + 1))
+    M[:, :n, :n] = R + (y[:, :, None] * yR[:, None, :]
+                       / (1.0 + y0)[:, None, None])
+    M[:, :n, n] = y
+    M[:, n, :n] = yR
+    M[:, n, n] = y0
+    return M
+
+
 def random_rotation(rng, n: int, orientation=None) -> np.ndarray:
     """Haar-uniform element of O(n) (or of the requested SO/reversing
     component) from an orthonormal-frame completion of Gaussian vectors."""
@@ -530,12 +551,14 @@ def random_isometries(rng, n: int, k: int, max_translation: float = 1.0,
     orientation signs (k,).
 
     The generator is read draw by draw, as k calls read it: the Gaussian
-    block of the frame, the translation length, the Gaussian direction,
-    each written in place.  The frames, their orientation signs, the
-    transvections and their products are then formed on the whole
-    stack.  A translation too long for the floating-point
-    transvection, one that leaves a matrix entry infinite or NaN, raises
-    OutOfModel."""
+    block of the frame, the translation length d, the Gaussian direction
+    u, each written in place.  The frames R and their orientation signs
+    are then formed on the whole stack, and each matrix is
+    :func:`transvection_frames` of the point (sinh(d) u, cosh d) and R,
+    the transvection carrying the basepoint there after the rotation.  A
+    translation too long for floating point, one that leaves a matrix
+    entry infinite or NaN (from d of about 355, where sinh(d)^2
+    overflows), raises OutOfModel."""
     A = np.empty((k, n, n))
     d = np.empty(k)
     u = np.empty((k, n))
@@ -546,20 +569,11 @@ def random_isometries(rng, n: int, k: int, max_translation: float = 1.0,
         # the arithmetic of np.linalg.norm(v), without its call overhead
         v /= math.sqrt(v.dot(v))
     frames = _frames(A, orientation)
-    rot = np.zeros((k, n + 1, n + 1))
-    rot[:, :n, :n] = frames
-    rot[:, n, n] = 1.0
     signs = _frame_signs(frames)
-    # The transvection carrying the basepoint o to q is the product of the
-    # symmetries at the midpoint of o and q and at o.
-    o = basepoint(n).coords
     with np.errstate(all="ignore"):
-        s = o + np.concatenate([np.sinh(d)[:, None] * u,
-                                np.cosh(d)[:, None]], axis=1)
-        form = ((s[:, None, :-1] @ s[:, :-1, None])[:, 0, 0]
-                - s[:, -1] * s[:, -1])
-        mid = s / np.sqrt(-form)[:, None]
-        M = _symmetries(mid) @ _symmetries(o) @ rot
+        P = np.concatenate([np.sinh(d)[:, None] * u, np.cosh(d)[:, None]],
+                           axis=1)
+        M = transvection_frames(P, frames)
     finite = np.isfinite(M).all(axis=(1, 2))
     if not finite.all():
         raise OutOfModel(f"translation length {d[np.argmin(finite)]:.6g} "

@@ -41,6 +41,7 @@ from .hypcore import (
     halfspace_to_hyperboloid,
     identity_isometry,
     make_isometry,
+    transvection_frames,
 )
 from .volcocycle import v_n, vol
 
@@ -133,21 +134,14 @@ class HaarBatch:
 
     # g = [[I + y y^T/(1+y0), y], [y^T, y0]] @ diag(R, 1): the transvection
     # carrying the basepoint to (y, y0), after the frame rotation R.
-    # `matrices` writes it out and `act_ideal` applies it to null lifts.
+    # `matrices` writes it out by `transvection_frames`, the formula
+    # `random_isometries` also uses, and `act_ideal` applies it to null
+    # lifts.
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
         """The Lorentz matrices (N, n+1, n+1) of the samples."""
-        n = self.frames.shape[-1]
-        y, y0, R = self.points[:, :n], self.points[:, n], self.frames
-        yR = np.einsum("ij,ijk->ik", y, R)
-        M = np.empty((len(R), n + 1, n + 1))
-        M[:, :n, :n] = R + (y[:, :, None] * yR[:, None, :]
-                           / (1.0 + y0)[:, None, None])
-        M[:, :n, n] = y
-        M[:, n, :n] = yR
-        M[:, n, n] = y0
-        return M
+        return transvection_frames(self.points, self.frames)
 
     def act_ideal(self, X) -> np.ndarray:
         """Ideal points X (k, m, n) moved by the samples, as unit vectors

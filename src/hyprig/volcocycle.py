@@ -111,6 +111,21 @@ def _index_sets(m):
                           dtype=int).reshape(-1, k).T for k in (2, 4))
 
 
+@functools.cache
+def _cross_ratio_columns(m):
+    """Columns (3, C(m, 4)) of `_pair_gaps2`, twice: per vertex quadruple
+    i < j < k < l, those of the pairs ij, ik, il and of kl, jl, jk, the
+    factors of the products d_ij d_kl, d_ik d_jl and d_il d_jk; read-only,
+    computed on the first call for each m."""
+    (a, b), (i, j, k, l) = _index_sets(m)
+    col = np.zeros((m, m), dtype=int)
+    col[a, b] = np.arange(len(a))
+    left, right = col[[i, i, i], [j, k, l]], col[[k, j, j], [l, l, k]]
+    for c in (left, right):
+        c.setflags(write=False)
+    return left, right
+
+
 def _pair_gaps2(P):
     """Squared chordal distances |xi_i - xi_j|^2 of the vertex pairs i < j
     of each simplex of a batch P (N, k, n), as (N, C(k, 2)) in
@@ -519,12 +534,12 @@ def regular_mask(P, tol: float = 1e-9) -> np.ndarray:
     a complete system of Moebius invariants; for the regular simplex all
     of them equal 1."""
     P = np.asarray(P, dtype=float)
-    (a, b), (i, j, k, l) = _index_sets(P.shape[1])
-    D = np.linalg.norm(P[:, :, None] - P[:, None], axis=-1)
-    ok = np.min(D[:, a, b], axis=1) >= max(tol, COINCIDENCE_TOL)
+    D = np.sqrt(_pair_gaps2(P))
+    ok = np.min(D, axis=1) >= max(tol, COINCIDENCE_TOL)
+    left, right = _cross_ratio_columns(P.shape[1])
     D = D[ok]
     # d_ij d_kl, d_ik d_jl and d_il d_jk per quadruple
-    prod = D[:, [i, i, i], [j, k, l]] * D[:, [k, j, j], [l, l, k]]
+    prod = D[:, left] * D[:, right]
     ratios = prod[:, [0, 1, 0]] / prod[:, [1, 2, 2]]
     ok[ok] = np.all(np.abs(ratios - 1.0) <= tol, axis=(1, 2))
     return ok
@@ -536,8 +551,7 @@ def is_regular(simplex, tol: float = 1e-9) -> bool:
     P = np.array([p.coords for p in _vertex_list(simplex)])
     if regular_mask(P[None], tol)[0]:
         return True
-    a, b = _index_sets(len(P))[0]
-    gap = np.min(np.linalg.norm(P[a] - P[b], axis=-1))
+    gap = math.sqrt(np.min(_pair_gaps2(P[None])))
     if gap < max(tol, COINCIDENCE_TOL):
         raise DegenerateSimplex(f"vertex gap {gap:.3e} below tolerance")
     return False

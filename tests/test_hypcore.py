@@ -124,10 +124,12 @@ def _make_isometry_by_formula(M):
     return Isometry(M, 1 if np.linalg.det(M) > 0 else -1)
 
 
-def _random_isometry_by_formula(rng, n, max_translation=1.0,
+def _random_isometry_by_objects(rng, n, max_translation=1.0,
                                 orientation=None):
-    """random_isometry one draw at a time, from the frame rotation and the
-    transvection objects: the reference for the batched draws."""
+    """random_isometry one draw at a time: the frame Q, the translation
+    length d and the direction u, read as the batched draws read them,
+    and the isometry formed from the frame rotation and the transvection
+    objects, through the midpoint and two point symmetries."""
     A = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(A)
     Q = Q * np.sign(np.diag(R))
@@ -139,26 +141,45 @@ def _random_isometry_by_formula(rng, n, max_translation=1.0,
     target = SpacePoint(np.append(np.sinh(d) * u, np.cosh(d)))
     M = np.eye(n + 1)
     M[:n, :n] = Q
-    return translation_to(target) @ _make_isometry_by_formula(M)
+    return Q, d, u, translation_to(target) @ _make_isometry_by_formula(M)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("orientation", [None, 1, -1])
-def test_random_isometries_match_per_draw_formula_bit_for_bit(n, orientation):
+def test_random_isometries_match_frame_and_transvection(n, orientation):
+    # checked against properties that share no code with
+    # transvection_frames; the bounds are in units of eps max(1, max|M|)
+    # (eps max|t| for the frame), about twice the largest measured over
+    # 9 720 draws (form 4.9, frame 0.94, object route 5.0)
+    eps = np.finfo(float).eps
+    J = minkowski_matrix(n)
     for seed in range(6):
-        for window in (1.0, 2.5):
+        for window in (1.0, 2.5, 10.0):
             batched, single, looped = (np.random.default_rng(seed)
                                        for _ in range(3))
             M, signs = random_isometries(batched, n, 9, window, orientation)
-            ref = [_random_isometry_by_formula(looped, n, window, orientation)
+            ref = [_random_isometry_by_objects(looped, n, window, orientation)
                    for _ in range(9)]
             one = [random_isometry(single, n, window, orientation)
                    for _ in range(9)]
-            assert np.array_equal(M, np.array([g.matrix for g in ref]))
             assert np.array_equal(M, np.array([g.matrix for g in one]))
-            assert signs.tolist() == [g.sign for g in ref] == [g.sign for g in one]
+            assert signs.tolist() == [g.sign for *_, g in ref] == [g.sign for g in one]
             if orientation is not None:
                 assert set(signs.tolist()) == {orientation}
+            for G, (Q, d, u, g) in zip(M, ref):
+                scale = max(1.0, np.abs(G).max())
+                assert np.abs(G.T @ J @ G - J).max() <= 10 * eps * scale ** 2
+                # the basepoint goes to (sinh(d) u, cosh d)
+                o = np.zeros(n + 1)
+                o[n] = 1.0
+                point = np.append(np.sinh(d) * u, np.cosh(d))
+                assert np.abs(G @ o - point).max() <= 2 * eps * scale
+                # the frame block is the QR frame plus a rank-one term
+                t = np.outer(G[:n, n], G[n, :n]) / (1.0 + G[n, n])
+                assert (np.abs(G[:n, :n] - t - Q).max()
+                        <= 2 * eps * max(1.0, np.abs(t).max()))
+                # the midpoint route rounds its form at relative eps cosh d
+                assert np.abs(G - g.matrix).max() <= 10 * eps * scale ** 2
             # the generators are left in the same state
             assert batched.random() == looped.random() == single.random()
 
@@ -184,9 +205,10 @@ def test_act_ideal_matches_formula_bit_for_bit():
 
 
 def test_random_isometries_past_overflow_raise_out_of_model():
-    # translation lengths this long leave the transvection non-finite;
-    # the draw raises instead of returning NaN matrices, with no warning,
-    # after reading the generator as any draw does
+    # translation lengths past about 355, where sinh(d)^2 overflows, leave
+    # the transvection non-finite; the draw raises instead of returning
+    # NaN matrices, with no warning, after reading the generator as any
+    # draw does.  The first draws at 4000 have d = 2400, 455 and 3876.
     for n in (2, 3, 4):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         with warnings.catch_warnings():
@@ -195,12 +217,20 @@ def test_random_isometries_past_overflow_raise_out_of_model():
                 random_isometries(rng, n, 3, max_translation=2000.0)
             with pytest.raises(OutOfModel, match="translation length"):
                 random_isometry(np.random.default_rng(n), n,
-                                max_translation=2000.0)
+                                max_translation=4000.0)
         for _ in range(3):
             ref.standard_normal((n, n))
             ref.uniform(0.0, 2000.0)
             ref.standard_normal(n)
         assert rng.random() == ref.random()
+    # a finite draw is returned, however long: d = 227 has entries near
+    # 2.7e98 and its form rounded at their scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = random_isometry(np.random.default_rng(3), 3,
+                            max_translation=2000.0).matrix
+    assert np.isfinite(M).all() and 1e98 < np.abs(M).max() < 1e99
+    assert _relative_defect(M) <= 10 * np.finfo(float).eps
 
 
 def test_lorentz_stack_repairs_and_raises_like_make_isometry():

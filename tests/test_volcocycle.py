@@ -13,9 +13,10 @@ from hyprig.errors import (
     UnsupportedDimension,
 )
 from hyprig.hypcore import (POINT_TOL, IdealPoint, act_ideal, act_ideal_many,
-                            null_lifts, random_isometry)
+                            null_lifts, random_isometries, random_isometry)
 from hyprig.regref import reference_regular
 from hyprig.volcocycle import (
+    COINCIDENCE_TOL,
     V2,
     V3,
     V4,
@@ -452,6 +453,105 @@ def test_vol_dispatch():
 
 
 # -- the closed form for n = 4 ----------------------------------------------
+
+def _regular_mask_all_pairs(P, tol):
+    """regular_mask by its former formula, all m^2 vertex distances of
+    each simplex of P (N, m, n) through np.linalg.norm, gathered per
+    quadruple from the m x m matrix: the mask, the smallest vertex gap
+    (N,) and the |ratio - 1| (N, 3, C(m, 4))."""
+    (a, b), (i, j, k, l) = [np.array(list(itertools.combinations(
+        range(P.shape[1]), r))).reshape(-1, r).T for r in (2, 4)]
+    D = np.linalg.norm(P[:, :, None] - P[:, None], axis=-1)
+    gap = np.min(D[:, a, b], axis=1)
+    ok = gap >= max(tol, COINCIDENCE_TOL)
+    prod = D[:, [i, i, i], [j, k, l]] * D[:, [k, j, j], [l, l, k]]
+    dev = np.abs(prod[:, [0, 1, 0]] / prod[:, [1, 2, 2]] - 1.0)
+    ok[ok] = np.all(dev[ok] <= tol, axis=(1, 2))
+    return ok, gap, dev
+
+
+def _deviation_at(P, v, target):
+    """P (m, n) with vertex 0 moved along the tangent v until the largest
+    |ratio - 1| is target, to rounding, by secant steps."""
+    def moved(e):
+        Q = P.copy()
+        Q[0] = unit_rows(P[0] + e * v)
+        return Q
+
+    def excess(e):
+        return _regular_mask_all_pairs(moved(e)[None], 1.0)[2].max() - target
+
+    e0, e1 = 0.0, 1e-6
+    f0, f1 = excess(e0), excess(e1)
+    for _ in range(8):
+        if f1 == f0:
+            break
+        e0, e1, f0 = e1, e1 - f1 * (e1 - e0) / (f1 - f0), f1
+        f1 = excess(e1)
+    return moved(e1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_regular_mask_matches_all_pairs_formula(n):
+    # regular_mask takes its distances from the C(m, 2) pair gaps; the
+    # former formula took all m^2 of them through np.linalg.norm.  The two
+    # may round a distance an ulp apart, so a verdict may differ where the
+    # reference puts a vertex gap within 4 ulps of max(tol,
+    # COINCIDENCE_TOL) or a |ratio - 1| within 8 eps of tol.  The panel
+    # places such rows on purpose (ratios at tol (1 +- 1e-7) are a few
+    # ulps from it); they are counted as borderline, not dropped, and
+    # every other row must agree.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(70 + n)
+    base = np.array([v.coords for v in reference_regular(n, 1).base.vertices])
+    m = n + 1
+    borderline_rows = 0
+    for tol in (1e-9, 1e-6, 1e-13):
+        thr = max(tol, COINCIDENCE_TOL)
+        G, _ = random_isometries(rng, n, 48, 1.5)
+        regular = act_ideal_many(G, base)
+        panel = list(regular)
+        # perturbed by 1e-3 ... 1e-12
+        for P in regular[:16]:
+            scale = 10 ** rng.uniform(-12, -3)
+            panel.append(unit_rows(P + scale * rng.standard_normal(P.shape)))
+        # the last vertex moved next to the first, the gap near the
+        # threshold on both sides
+        for t, P in enumerate(regular[16:32]):
+            gap = thr * (1.0 + (-1) ** t * (1e-1, 1e-3, 1e-6, 1e-9)[t // 2 % 4])
+            w = rng.standard_normal(n)
+            Q = P.copy()
+            Q[-1] = unit_rows(P[0] + gap * unit_rows(w - (w @ P[0]) * P[0]))
+            panel.append(Q)
+        # the largest |ratio - 1| just inside and just outside tol
+        if m >= 4 and tol >= 1e-9:
+            for t, P in enumerate(regular[32:48]):
+                v = rng.standard_normal(n)
+                v -= (v @ P[0]) * P[0]
+                rel = (-1) ** t * (1e-2, 1e-4, 1e-6, 1e-7)[t // 2 % 4]
+                panel.append(_deviation_at(P, v, tol * (1.0 + rel)))
+        panel = np.array(panel)
+        mask = regular_mask(panel, tol)
+        expect, gap, dev = _regular_mask_all_pairs(panel, tol)
+        borderline = ((np.abs(gap - thr) <= 4 * eps * thr)
+                      | (np.min(np.abs(dev - tol), axis=(1, 2),
+                                initial=np.inf) <= 8 * eps))
+        assert np.array_equal(mask[~borderline], expect[~borderline])
+        borderline_rows += borderline.sum()
+        # both verdicts occur off the border
+        assert {True, False} <= set(expect[~borderline].tolist())
+        for P, ok, g in zip(panel, mask, gap):
+            pts = [IdealPoint(p) for p in P]
+            if ok:
+                assert is_regular(pts, tol)
+            elif g < thr * (1.0 - 4 * eps):
+                with pytest.raises(DegenerateSimplex):
+                    is_regular(pts, tol)
+            elif g > thr * (1.0 + 4 * eps):
+                assert is_regular(pts, tol) is False
+    # the rows placed within ulps of a threshold are few
+    assert borderline_rows <= 12
+
 
 def unit_rows(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
