@@ -223,7 +223,15 @@ def make_isometry(matrix) -> Isometry:
 def _lorentz_stack(M: np.ndarray):
     """:func:`make_isometry` on a stack M (k, n+1, n+1): the matrices and
     their orientation signs (k,), drifted rows repaired by one Minkowski
-    `gram_schmidt`; the first failing row in stack order raises."""
+    `gram_schmidt`; the first failing row in stack order raises.
+
+    The sign is that of det R for the frame R that M rotates by before
+    its transvection, not that of det M = +-1, the difference of
+    products of order cosh(d)^(n+1) for a transvection of length d,
+    which is rounding noise from d of about 19.  Recovering R cancels
+    too, with an error of about u cosh d in its entries, so past
+    cosh d of about 1/u (d of about 37) the matrix no longer determines
+    R and the sign is noise again."""
     J = minkowski_matrix(M.shape[-1] - 1)
     defect = np.max(np.abs(np.swapaxes(M, -1, -2) @ J @ M - J), axis=(-2, -1))
     # written so that a NaN or infinite matrix fails
@@ -239,7 +247,13 @@ def _lorentz_stack(M: np.ndarray):
             if not (kept[i] or repair[i]):
                 raise NotLorentz(f"form defect {defect[i]:.3e} exceeds {REPAIR_TOL}")
             raise TimeReversing("matrix reverses the time orientation")
-    return M, np.where(np.linalg.det(M) > 0, 1, -1)
+    # M = T(p) diag(R, 1) with p = (y, y0) its last column:
+    # `transvection_frames` solved for R
+    n = M.shape[-1] - 1
+    y, y0 = M[:, :n, n], M[:, n, n]
+    R = M[:, :n, :n] - (y[:, :, None] * M[:, n, None, :n]
+                        / (1.0 + y0)[:, None, None])
+    return M, _frame_signs(R)
 
 
 def identity_isometry(n: int) -> Isometry:

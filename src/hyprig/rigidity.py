@@ -89,11 +89,14 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     src = act_ideal_many(G, reference_vertices(n))
     img = evaluate_many(phi, src.reshape(-1, n)).reshape(src.shape)
     ok = regular_mask(img, tol)
-    same = orientation_signs(img[ok]) == orientation_signs(src[ok])
+    passed = int(ok.sum())
+    # image and source orientations in one call, images first
+    signs = orientation_signs(np.concatenate([img[ok], src[ok]]))
+    same = signs[:passed] == signs[passed:]
     modes = {"same" if s else "opposite" for s in same}
     mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "none"
     return PreservationReport(trials=trials,
-                              pass_fraction=int(ok.sum()) / trials,
+                              pass_fraction=passed / trials,
                               orientation_mode=mode, tol=tol)
 
 

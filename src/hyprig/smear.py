@@ -112,21 +112,24 @@ def _random_test_simplices(rng, n: int, m: int, max_tries: int = 2000):
     Candidates are drawn 2m at a time, in the order a one-by-one draw
     would take them, until m pass or max_tries are spent."""
     floor = VOLUME_FLOOR_FRACTION * v_n(n)
-    pts, vols = np.empty((0, n + 1, n)), np.empty(0)
-    tried = 0
+    rounds, found, tried = [], 0, 0
     while tried < max_tries:
         k = min(2 * m, max_tries - tried)
         tried += k
         cand = rng.standard_normal((k, n + 1, n))
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        # the arithmetic of np.linalg.norm(cand, axis=2, keepdims=True),
+        # without its call overhead
+        cand /= np.sqrt(np.add.reduce(cand * cand, axis=2, keepdims=True))
         cv = vol_batch(cand)
         keep = np.abs(cv) >= floor
-        pts = np.concatenate([pts, cand[keep]])
-        vols = np.concatenate([vols, cv[keep]])
-        if len(vols) >= m:
+        rounds.append((cand[keep], cv[keep]))
+        found += int(np.count_nonzero(keep))
+        if found >= m:
+            pts, vols = (rounds[0] if len(rounds) == 1
+                         else map(np.concatenate, zip(*rounds)))
             return pts[:m], vols[:m]
     raise IllConditioned(
-        f"found {len(vols)}/{m} test simplices above the volume floor")
+        f"found {found}/{m} test simplices above the volume floor")
 
 
 def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
@@ -174,14 +177,14 @@ def volume_ratio(preset: LatticePreset, phi, n_samples: int, seed,
     gap = 3.0 * np.hypot(sigs[:, None], sigs)
     # symmetric, with a false diagonal
     clash = np.abs(lams[:, None] - lams) > gap + 1e-12
+    total = np.sum(wts)
     return RatioEstimate(
-        value=float(np.sum(wts * lams) / np.sum(wts)),
-        std_error=float(np.sum(wts) ** -0.5), bias_bound=0.0,
+        value=float(np.sum(wts * lams) / total),
+        std_error=float(total ** -0.5), bias_bound=0.0,
         n_samples=n_samples * m, seed=seed, ess_frac=float(ess.min()),
         max_weight=float(max_w.max()),
         consistent=not clash.any(),
-        per_simplex=tuple((lam, sig, 0.0) for lam, sig
-                          in zip(lams.tolist(), sigs.tolist())))
+        per_simplex=tuple(zip(lams.tolist(), sigs.tolist(), [0.0] * m)))
 
 
 def milnor_wood_check(est: McEstimate) -> dict:

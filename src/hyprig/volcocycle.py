@@ -27,6 +27,8 @@ from .quadrature import integrate_simplex
 COINCIDENCE_TOL = 1e-12
 DEGENERATE_DET_TOL = 1e-9
 
+_U = np.finfo(float).eps / 2.0      # unit roundoff
+
 
 @dataclass(frozen=True)
 class IdealSimplex:
@@ -126,13 +128,22 @@ def _cross_ratio_columns(m):
     return left, right
 
 
-def _pair_gaps2(P):
+def _plane_gaps2(X):
     """Squared chordal distances |xi_i - xi_j|^2 of the vertex pairs i < j
-    of each simplex of a batch P (N, k, n), as (N, C(k, 2)) in
-    lexicographic order."""
-    i, j = _index_sets(P.shape[1])[0]
-    diff = P[:, i] - P[:, j]
-    return np.einsum("...i,...i->...", diff, diff)
+    from coordinate planes X (n, k, N), as (C(k, 2), N) in lexicographic
+    order, summed d_0^2 + d_1^2 + ... in coordinate order: np.add.reduce
+    over an axis shorter than 8 adds in index order, whatever the
+    layout, so planes and row views of one batch give the same bits.
+    (np.einsum need not: with AVX2 it adds d_0^2 + d_2^2 first.)"""
+    i, j = _index_sets(X.shape[1])[0]
+    diff = X[:, i] - X[:, j]
+    diff *= diff
+    return np.add.reduce(diff, axis=0)
+
+
+def _pair_gaps2(P):
+    """`_plane_gaps2` of a batch P (N, k, n), as (N, C(k, 2))."""
+    return _plane_gaps2(P.transpose(2, 1, 0)).T
 
 
 def _coincident_rows(gaps2):
@@ -167,22 +178,30 @@ def _signs(P, dets) -> np.ndarray:
     return signs
 
 
-def orientation_signs(P) -> np.ndarray:
-    """Orientations of N vertex orders P (N, n+1, n): the sign of det of
-    the null lifts, 0 where two vertices coincide or below the degeneracy
-    cut of `_signs`, where the points lie on the boundary sphere of a
-    hyperplane (the straightened simplex is flat).
+def _lift_dets(P) -> np.ndarray:
+    """The determinants of the null lifts of N vertex orders P (N, n+1, n).
 
     Subtracting the first lift from the others leaves one 1 in the last
     column, so det[(xi_i, 1)] = (-1)^n det[xi_i - xi_0], i = 1..n; at
     n = 2, 3 that n x n determinant of the differences is taken in closed
-    form (`stack_det`), and at n >= 4 the lifts go through LAPACK, whose
-    determinant `vol4_batch` shares."""
-    P = np.asarray(P, dtype=float)
+    form (`stack_det`), on coordinate planes: P is copied once into
+    (n, n+1, N), so the differences and every entry `stack_det` reads are
+    contiguous rows.  At n >= 4 the lifts go through LAPACK."""
     n = P.shape[-1]
     if n <= 3:
-        return _signs(P, (-1) ** n * stack_det(P[:, 1:] - P[:, :1]))
-    return _signs(P, np.linalg.det(null_lifts(P)))
+        X = np.ascontiguousarray(P.transpose(2, 1, 0))
+        diff = X[:, 1:] - X[:, :1]
+        return (-1) ** n * stack_det(diff.transpose(2, 1, 0))
+    return np.linalg.det(null_lifts(P))
+
+
+def orientation_signs(P) -> np.ndarray:
+    """Orientations of N vertex orders P (N, n+1, n): the sign of det of
+    the null lifts (`_lift_dets`), 0 where two vertices coincide or below
+    the degeneracy cut of `_signs`, where the points lie on the boundary
+    sphere of a hyperplane (the straightened simplex is flat)."""
+    P = np.asarray(P, dtype=float)
+    return _signs(P, _lift_dets(P))
 
 
 def orientation_sign(simplex) -> int:
@@ -209,55 +228,114 @@ def vol2(simplex) -> VolumeResult:
     return VolumeResult(float(vol2_batch(P[None])[0]), 0.0, "exact2")
 
 
-def _homogeneous_chart(P):
-    """Boundary points of H^3, rows of P (..., 3), as projective pairs
-    (a : b), w = a/b, in the half-space chart w = (xi_1 + i xi_2)/(1 - xi_3).
-    Both representatives agree where defined; the better conditioned one
-    is returned."""
-    x, y, z = P[..., 0], P[..., 1], P[..., 2]
-    w = x + 1j * y
-    # near the poles one of the representatives degenerates to (0, 0);
-    # on the sphere their squared norms are 2 - 2 xi_3 and 2 + 2 xi_3, so
-    # the lower hemisphere takes the first
-    south = z <= 0.0
-    return np.where(south, w, 1.0 + z), np.where(south, 1.0 - z, w.conj())
+# of the six vertex pairs of a tetrahedron, lexicographic as in
+# `_plane_gaps2`, the four whose projective determinants make the
+# cross-ratio: 03, 12, 23 and 01
+_CROSS_PAIRS = [2, 3, 5, 0]
+
+
+def _vol3_planes(P):
+    """`vol3_batch` on P (N, 4, 3), with the angles (3, N) and the
+    squared pair gaps (6, N) it computed them from."""
+    X = np.ascontiguousarray(np.asarray(P, dtype=float).transpose(2, 1, 0))
+    x, y, t = X
+    # vertex k as the projective pair (a_k : b_k), w = a/b, in the
+    # half-space chart w = (xi_1 + i xi_2)/(1 - xi_3).  Near the poles one
+    # representative degenerates to (0, 0); on the sphere their squared
+    # norms are 2 - 2 xi_3 and 2 + 2 xi_3, so the lower hemisphere takes
+    # the first.
+    south = t <= 0.0
+    a = np.where(south, x + 1j * y, 1.0 + t)
+    b = np.where(south, 1.0 - t, x - 1j * y)
+
+    def det(i, j):
+        return a[i] * b[j] - a[j] * b[i]
+
+    # the cross-ratio sending vertices 0, 1, 2 to 0, 1, infinity, at
+    # vertex 3; projective determinants avoid the point at infinity
+    num = det(3, 0) * det(1, 2)
+    den = det(3, 2) * det(1, 0)
+    gaps2 = _plane_gaps2(X)
+    flat = (den == 0) | _coincident_rows(gaps2.T)
+    z = num / np.where(flat, 1.0, den)
+    re, im = z.real, z.imag
+    flat |= im == 0
+    # the angles of the triangle 0, 1, z at 0, at 1 and at z: the
+    # arguments of z, 1/(1 - z) and (z - 1)/z, whose real parts over the
+    # common imaginary part Im z are Re z, 1 - Re z and Re((z - 1) conj z)
+    angles = np.empty((3, len(re)))
+    angles[0] = re
+    np.subtract(1.0, re, out=angles[1])
+    np.multiply(re, re - 1.0, out=angles[2])
+    angles[2] += im * im
+    L = lobachevsky(np.arctan2(im, angles, out=angles))
+    out = L[0] + L[1] + L[2]
+    out[flat] = 0.0
+    return out, angles, gaps2
 
 
 def vol3_batch(P) -> np.ndarray:
     """Signed volumes of N ideal tetrahedra, P of shape (N, 4, 3), via
-    the cross-ratio of the vertices on the Riemann sphere.
+    the cross-ratio z of the vertices on the Riemann sphere: the
+    Lobachevsky sum L(theta_0) + L(theta_1) + L(theta_2) over the angles
+    of the triangle 0, 1, z (Milnor), signed by the half-plane of z.
+    Coincident vertices (`_coincident_rows`'s test, bit for bit) and real
+    cross-ratios give exactly 0.
 
-    The tetrahedron with cross-ratio z has volume
-    L(arg z) + L(arg 1/(1-z)) + L(arg (z-1)/z), signed by the half-plane
-    of z; coincident vertices and real cross-ratios give exactly 0."""
-    P = np.asarray(P, dtype=float)
-    a, b = _homogeneous_chart(P)
+    P is copied once into coordinate planes (3, 4, N), so every step
+    reads contiguous rows.  The angles come from one arctan2 with the
+    common numerator Im z: theta = atan2(Im z, x), x = Re z, 1 - Re z and
+    Re z (Re z - 1) + Im z^2."""
+    return _vol3_planes(P)[0]
 
-    def det(i, j):
-        return a[:, i] * b[:, j] - a[:, j] * b[:, i]
 
-    # Cross-ratio sending vertices 0, 1, 2 to 0, 1, infinity, evaluated at
-    # vertex 3; projective determinants avoid the point at infinity.
-    num = det(3, 0) * det(1, 2)
-    den = det(3, 2) * det(1, 0)
-    flat = (den == 0) | _coincident_rows(_pair_gaps2(P))
-    z = num / np.where(flat, 1.0, den)
-    flat |= (z.imag == 0) | (z == 0.0) | (z == 1.0)
-    z = np.where(flat, 1j, z)
-    angles = np.stack([np.angle(z), np.angle(1.0 / (1.0 - z)),
-                       np.angle((z - 1.0) / z)], axis=1)
-    out = np.sum(lobachevsky(angles), axis=1)
-    out[flat] = 0.0
-    return out
+def _vol3_error(P, angles, gaps2):
+    """First-order bound on the error of `vol3_batch` on P (N, 4, 3)
+    against the tetrahedra of the vertices projected onto the sphere,
+    from the angles theta_k (3, N) of its triangles 0, 1, z and the
+    squared pair gaps (6, N) of the vertices, and whether first order
+    holds.
+
+    The chart pair of a vertex is that of its projection up to a
+    relative error u, and up to |xi|^2 - 1 in its last component (both
+    representatives read 1 +- xi_3 for |xi| +- xi_3).  The projective
+    determinant of a pair at chordal gap g has modulus |s_i| |s_j| g/2
+    for the pairs' norms |s| >= sqrt(2), so it carries a relative error
+    of at most (9u + e_i + e_j)/g + u, e = ||xi|^2 - 1| (each product
+    sqrt(5)u + 2u).  With two products and a division more, z carries
+    rho = sum (9u + e_i + e_j)/g + 16u over its four pairs 03, 12, 23,
+    01.  Moving z by dz turns theta_0 = arg z by |dz|/|z| and
+    theta_1 = -arg(1 - z) by |dz|/|1 - z|; theta_2 is pi minus both, so
+    the Lobachevsky slopes L'(theta) = -log|2 sin theta| give
+    dVol = sum_{k<2} log|sin theta_2 / sin theta_k| dtheta_k, and by the
+    law of sines |z| = s_1/s_2 and |1 - z| = s_0/s_2, s_k = |sin theta_k|.
+    The angle formulas and the reduction by pi move each angle by at most
+    12u |theta| more, where the slope is at most |log 2 s| + 1, and the
+    sum of the three terms adds 4u.  Where z may move by a quarter of |z|
+    or of |1 - z|, first order does not hold."""
+    i, j = (k[_CROSS_PAIRS] for k in _index_sets(4)[0])
+    e = np.abs(np.add.reduce(P * P, axis=-1) - 1.0).T
+    rho = 16.0 * _U + np.sum((9.0 * _U + e[i] + e[j])
+                             / np.sqrt(gaps2[_CROSS_PAIRS]), axis=0)
+    s0, s1, s2 = s = np.abs(np.sin(angles))
+    shift = np.abs(angles) * (np.abs(np.log(2.0 * s)) + 1.0)
+    err = (rho * (np.abs(np.log(s0 / s2)) + s1 / s0 * np.abs(np.log(s1 / s2)))
+           + 12.0 * _U * np.sum(shift, axis=0) + 4.0 * _U)
+    return err, rho * np.maximum(1.0, s1 / s0) < 0.25
 
 
 def vol3(simplex) -> VolumeResult:
     """Signed volume of an ideal tetrahedron via the cross-ratio of its
-    vertices on the Riemann sphere."""
+    vertices on the Riemann sphere; abs_error is `_vol3_error`'s bound,
+    0 on the exact zeros of degenerate tetrahedra."""
     P = np.array([p.coords for p in _vertex_list(simplex)])
-    value = float(vol3_batch(P[None])[0])
-    # the exact zeros of degenerate tetrahedra carry no series truncation
-    return VolumeResult(value, 0.0 if value == 0.0 else 1e-12, "lobachevsky3")
+    value, angles, gaps2 = _vol3_planes(P[None])
+    value = float(value[0])
+    if value == 0.0:
+        return VolumeResult(0.0, 0.0, "lobachevsky3")
+    err, bounded = _vol3_error(P[None], angles, gaps2)
+    err = float(err[0]) if bounded[0] else abs(value) + V3
+    return VolumeResult(value, err, "lobachevsky3")
 
 
 # -- the closed form for n = 4 ----------------------------------------------
@@ -268,8 +346,6 @@ def vol3(simplex) -> VolumeResult:
 # differential equality"; Kellerhals, Math. Ann. 1989).
 
 V4 = 4.0 * math.pi ** 2 / 3.0 - (10.0 * math.pi / 3.0) * math.acos(1.0 / 3.0)
-
-_U = np.finfo(float).eps / 2.0      # unit roundoff
 
 
 def _det_error(M):
@@ -350,7 +426,7 @@ def vol4_batch(P):
     |value| + V4, since no ideal 4-simplex is larger than the regular one.
     """
     P = np.asarray(P, dtype=float)
-    det = np.linalg.det(null_lifts(P))
+    det = _lift_dets(P)
     eps = _signs(P, det)
     dead = eps == 0
     any_dead = dead.any()

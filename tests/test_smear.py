@@ -15,7 +15,7 @@ from hyprig.smear import (
     vol_of_rep,
     volume_ratio,
 )
-from hyprig.volcocycle import V3, v_n, vol
+from hyprig.volcocycle import V3, v_n, vol, vol_batch
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +162,28 @@ def test_test_simplices_volume_floor():
     # an exhausted budget reports instead of silently degrading
     with pytest.raises(IllConditioned):
         _random_test_simplices(np.random.default_rng(0), 3, 50, max_tries=3)
+
+
+def test_test_simplices_are_the_one_by_one_draw():
+    """_random_test_simplices keeps, in order, the first m candidates of
+    a one-by-one draw that clear the floor, each normalised by
+    np.linalg.norm, whether one round of 2m candidates gives them or
+    more rounds are needed."""
+    floor = 0.1 * V3
+    rounds = set()
+    # about 1 in 120 pairs of candidates both fall below the floor
+    for seed in range(400):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        sims, vols = _random_test_simplices(rng, 3, 1)
+        picks, drawn = [], 0
+        while not picks:
+            x = ref.standard_normal((4, 3))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            drawn += 1
+            v = vol_batch(x[None])[0]
+            if abs(v) >= floor:
+                picks.append((x, v))
+        rounds.add((drawn - 1) // 2 + 1)
+        assert np.array_equal(sims, [x for x, _ in picks])
+        assert np.array_equal(vols, [v for _, v in picks])
+    assert rounds == {1, 2}
