@@ -287,16 +287,32 @@ def act_ideal_many(M, X) -> np.ndarray:
     broadcast, giving unit vectors (..., k, n).
 
     One matrix on N points is M (n+1, n+1) with X (N, n); N matrices on
-    the same k points is M (N, n+1, n+1) with X (k, n)."""
+    the same k points is M (N, n+1, n+1) with X (k, n).
+
+    The images are formed on coordinate planes: the null lifts are
+    written as columns L^T (..., n+1, k), and Y = M L^T (..., n+1, k) is
+    one GEMM per matrix, so that the division by the last plane and the
+    normalisation run over contiguous rows of length k rather than along
+    an axis n+1 long; the result is copied back into C-contiguous rows
+    once.  Each entry of Y is the same dot product of a matrix row with a
+    lift as in the row form L M^T, and np.add.reduce over the coordinate
+    axis, shorter than 8, adds in index order whatever the layout, so the
+    values are bit for bit those of the row form."""
     M = np.asarray(M, dtype=float)
     X = np.asarray(X, dtype=float)
-    if M.shape[-1] != X.shape[-1] + 1:
+    n, k = X.shape[-1], X.shape[-2]
+    if M.shape[-1] != n + 1:
         raise DimensionMismatch(f"isometry of H^{M.shape[-1] - 1} on point "
-                                f"of S^{X.shape[-1] - 1}")
-    Y = np.matmul(null_lifts(X), np.swapaxes(M, -1, -2))
-    V = Y[..., :-1] / Y[..., -1:]
-    # the arithmetic of np.linalg.norm(V, axis=-1), without its call overhead
-    return V / np.sqrt(np.add.reduce(V * V, axis=-1, keepdims=True))
+                                f"of S^{n - 1}")
+    lifts = np.empty(X.shape[:-2] + (n + 1, k))
+    lifts[..., :-1, :] = np.swapaxes(X, -1, -2)
+    lifts[..., -1, :] = 1.0
+    Y = np.matmul(M, lifts)
+    V = Y[..., :-1, :]
+    V /= Y[..., -1:, :]
+    # the arithmetic of np.linalg.norm(V, axis=-2), without its call overhead
+    V /= np.sqrt(np.add.reduce(V * V, axis=-2, keepdims=True))
+    return np.ascontiguousarray(np.swapaxes(V, -1, -2))
 
 
 def _lift(p) -> np.ndarray:

@@ -48,7 +48,8 @@ from .lattice import LatticePreset
 from .regref import (MAX_WALK_SIZE, RegularSimplex, face_reflections,
                      flat_walk, reference_flat_walk, reference_vertices,
                      reflection_walk, walk_size)
-from .volcocycle import is_regular, orientation_signs, regular_mask
+from .volcocycle import (is_regular, plane_orientation_signs,
+                         plane_regular_mask, regular_mask)
 
 REGULARITY_TOL = 1e-9
 IMAGE_TOL = 1e-6
@@ -80,7 +81,9 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     vertices of g times the reference simplex, and checks regularity of
     the image at tol; among passing trials the image orientation is
     compared with the source orientation.  The isometries are drawn as
-    one stack; all trials are then mapped and tested as one batch.
+    one stack; all trials are then mapped and tested as one batch, the
+    images and sources copied once into coordinate planes that the
+    regularity and orientation tests read.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -88,10 +91,12 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     G, _ = random_isometries(rng, n, trials, max_translation=WINDOW)
     src = act_ideal_many(G, reference_vertices(n))
     img = evaluate_many(phi, src.reshape(-1, n)).reshape(src.shape)
-    ok = regular_mask(img, tol)
+    # images, then sources, as coordinate planes (n, n+1, 2 trials)
+    planes = np.concatenate([img.T, src.T], axis=-1)
+    ok = plane_regular_mask(planes[..., :trials], tol)
     passed = int(ok.sum())
-    # image and source orientations in one call, images first
-    signs = orientation_signs(np.concatenate([img[ok], src[ok]]))
+    # image and source orientations of the passing trials in one call
+    signs = plane_orientation_signs(planes[..., np.concatenate([ok, ok])])
     same = signs[:passed] == signs[passed:]
     modes = {"same" if s else "opposite" for s in same}
     mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "none"
@@ -210,9 +215,10 @@ def _reconstruct(phi, X, fresh, index, parity, tol, image_tol):
     One `evaluate_many` call maps all vertex lists; the seed images are
     gated for regularity and solved by one stacked `_pair_isometries`.
     One `act_ideal_many` compares every fresh image with the candidates',
-    and one `orientation_signs` checks every image simplex against the
-    root image's orientation times its parity.  The first failing seed
-    raises at its first failing child, in walk order.
+    and one `plane_orientation_signs`, on the image simplices gathered
+    into coordinate planes by `_walk_planes`, checks every image simplex
+    against the root image's orientation times its parity.  The first
+    failing seed raises at its first failing child, in walk order.
     """
     k, n = X.shape[1:]
     points = np.concatenate([X, fresh], axis=1)
@@ -226,8 +232,8 @@ def _reconstruct(phi, X, fresh, index, parity, tol, image_tol):
         raise ImageNotRegular("image of the seed simplex is not regular")
     H, signs = _pair_isometries(X, Y, max(REGULARITY_TOL, image_tol))
     gaps = np.max(np.abs(act_ideal_many(H, fresh) - mapped[:, k:]), axis=-1)
-    orient = orientation_signs(mapped[:, index].reshape(-1, k, n)
-                               ).reshape(len(X), -1)
+    orient = plane_orientation_signs(_walk_planes(mapped, index)
+                                     ).reshape(len(X), -1)
     bad = (gaps > tol) | (orient[:, 1:] != parity[1:] * orient[:, :1])
     failing = np.flatnonzero(bad.any(axis=1))
     if len(failing):
@@ -238,6 +244,17 @@ def _reconstruct(phi, X, fresh, index, parity, tol, image_tol):
                             "image orientation fails to alternate",
                             mismatch=gap)
     return H, signs, np.max(gaps, axis=1, initial=0.0)
+
+
+def _walk_planes(mapped, index):
+    """The simplices mapped[i, index[s]] of m vertex lists mapped
+    (m, V, n), seed by seed, as coordinate planes (n, k, m S): one
+    np.take of the vertex planes, which gathers contiguous rows where
+    mapped[:, index] would gather rows of n elements each."""
+    m, V, n = mapped.shape
+    columns = index.T[:, None] + V * np.arange(m)[:, None]
+    return np.take(mapped.reshape(-1, n).T, columns.reshape(len(columns), -1),
+                   axis=1)
 
 
 def consensus(phi, n: int, m: int, depth: int, tol: float = 1e-7,

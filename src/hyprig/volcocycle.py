@@ -115,7 +115,7 @@ def _index_sets(m):
 
 @functools.cache
 def _cross_ratio_columns(m):
-    """Columns (3, C(m, 4)) of `_pair_gaps2`, twice: per vertex quadruple
+    """Rows (3, C(m, 4)) of `_plane_gaps2`, twice: per vertex quadruple
     i < j < k < l, those of the pairs ij, ik, il and of kl, jl, jk, the
     factors of the products d_ij d_kl, d_ik d_jl and d_il d_jk; read-only,
     computed on the first call for each m."""
@@ -152,11 +152,11 @@ def _coincident_rows(gaps2):
     return np.any(gaps2 < COINCIDENCE_TOL ** 2, axis=1)
 
 
-def _signs(P, dets) -> np.ndarray:
-    """Orientations of the vertex orders P (N, n+1, n) from the
-    determinants of their null lifts (or any value equal to them up to
-    rounding): the sign of det, 0 where two vertices coincide or below
-    the degeneracy cut
+def _plane_signs(X, dets) -> np.ndarray:
+    """Orientations of the vertex orders given as coordinate planes
+    X (n, n+1, N) from the determinants of their null lifts (or any value
+    equal to them up to rounding): the sign of det, 0 where two vertices
+    coincide or below the degeneracy cut
 
         |det|^n <= DEGENERATE_DET_TOL^n prod_{i<j} |xi_i - xi_j|^2.
 
@@ -166,42 +166,50 @@ def _signs(P, dets) -> np.ndarray:
     as a simplex flattens but not as it shrinks.  Every gap is at most 2,
     so only rows with |det| <= tol 2^(n+1) can fall below the cut, and
     the gaps are taken on those rows alone."""
-    n = P.shape[-1]
+    n = len(X)
     size = np.abs(dets)
     signs = np.sign(dets).astype(int)
     near = np.flatnonzero(size <= DEGENERATE_DET_TOL * 2.0 ** (n + 1))
     if len(near):
-        gaps2 = _pair_gaps2(P[near])
+        gaps2 = _plane_gaps2(X[:, :, near])
         flat = (size[near] ** n
-                <= DEGENERATE_DET_TOL ** n * np.prod(gaps2, axis=1))
-        signs[near[flat | _coincident_rows(gaps2)]] = 0
+                <= DEGENERATE_DET_TOL ** n * np.prod(gaps2, axis=0))
+        signs[near[flat | _coincident_rows(gaps2.T)]] = 0
     return signs
 
 
-def _lift_dets(P) -> np.ndarray:
-    """The determinants of the null lifts of N vertex orders P (N, n+1, n).
+def _plane_dets(X) -> np.ndarray:
+    """The determinants of the null lifts of N vertex orders given as
+    coordinate planes X (n, n+1, N).
 
     Subtracting the first lift from the others leaves one 1 in the last
     column, so det[(xi_i, 1)] = (-1)^n det[xi_i - xi_0], i = 1..n; at
     n = 2, 3 that n x n determinant of the differences is taken in closed
-    form (`stack_det`), on coordinate planes: P is copied once into
-    (n, n+1, N), so the differences and every entry `stack_det` reads are
+    form (`stack_det`) on contiguous planes (X is copied once if it is
+    not), so the differences and every entry `stack_det` reads are
     contiguous rows.  At n >= 4 the lifts go through LAPACK."""
-    n = P.shape[-1]
+    n = len(X)
     if n <= 3:
-        X = np.ascontiguousarray(P.transpose(2, 1, 0))
+        X = np.ascontiguousarray(X)
         diff = X[:, 1:] - X[:, :1]
         return (-1) ** n * stack_det(diff.transpose(2, 1, 0))
-    return np.linalg.det(null_lifts(P))
+    return np.linalg.det(null_lifts(X.transpose(2, 1, 0)))
+
+
+def plane_orientation_signs(X) -> np.ndarray:
+    """`orientation_signs` of N vertex orders given as coordinate planes
+    X (n, n+1, N), as a gather of vertex planes gives them: the same
+    values, without a transpose back to rows."""
+    return _plane_signs(X, _plane_dets(X))
 
 
 def orientation_signs(P) -> np.ndarray:
     """Orientations of N vertex orders P (N, n+1, n): the sign of det of
-    the null lifts (`_lift_dets`), 0 where two vertices coincide or below
-    the degeneracy cut of `_signs`, where the points lie on the boundary
-    sphere of a hyperplane (the straightened simplex is flat)."""
+    the null lifts (`_plane_dets`), 0 where two vertices coincide or below
+    the degeneracy cut of `_plane_signs`, where the points lie on the
+    boundary sphere of a hyperplane (the straightened simplex is flat)."""
     P = np.asarray(P, dtype=float)
-    return _signs(P, _lift_dets(P))
+    return plane_orientation_signs(P.transpose(2, 1, 0))
 
 
 def orientation_sign(simplex) -> int:
@@ -426,8 +434,9 @@ def vol4_batch(P):
     |value| + V4, since no ideal 4-simplex is larger than the regular one.
     """
     P = np.asarray(P, dtype=float)
-    det = _lift_dets(P)
-    eps = _signs(P, det)
+    X = P.transpose(2, 1, 0)
+    det = _plane_dets(X)
+    eps = _plane_signs(X, det)
     dead = eps == 0
     any_dead = dead.any()
     det = np.abs(det)
@@ -610,14 +619,22 @@ def regular_mask(P, tol: float = 1e-9) -> np.ndarray:
     a complete system of Moebius invariants; for the regular simplex all
     of them equal 1."""
     P = np.asarray(P, dtype=float)
-    D = np.sqrt(_pair_gaps2(P))
-    ok = np.min(D, axis=1) >= max(tol, COINCIDENCE_TOL)
-    left, right = _cross_ratio_columns(P.shape[1])
-    D = D[ok]
+    return plane_regular_mask(P.transpose(2, 1, 0), tol)
+
+
+def plane_regular_mask(X, tol: float = 1e-9) -> np.ndarray:
+    """`regular_mask` of N simplices given as coordinate planes
+    X (n, m, N), read plane by plane: the pair distances are the rows
+    (C(m, 2), N) of `_plane_gaps2`, and every product and ratio of them
+    is a row operation."""
+    D = np.sqrt(_plane_gaps2(X))
+    ok = np.min(D, axis=0) >= max(tol, COINCIDENCE_TOL)
+    left, right = _cross_ratio_columns(X.shape[1])
+    D = D[:, ok]
     # d_ij d_kl, d_ik d_jl and d_il d_jk per quadruple
-    prod = D[:, left] * D[:, right]
-    ratios = prod[:, [0, 1, 0]] / prod[:, [1, 2, 2]]
-    ok[ok] = np.all(np.abs(ratios - 1.0) <= tol, axis=(1, 2))
+    prod = D[left] * D[right]
+    ratios = prod[[0, 1, 0]] / prod[[1, 2, 2]]
+    ok[ok] = np.all(np.abs(ratios - 1.0) <= tol, axis=(0, 1))
     return ok
 
 

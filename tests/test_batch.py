@@ -17,7 +17,8 @@ import pytest
 from hyprig.boundary import make_boundary_map
 from hyprig.errors import DimensionMismatch
 from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many,
-                            halfspace_to_hyperboloid, random_isometry)
+                            halfspace_to_hyperboloid, null_lifts,
+                            random_isometries, random_isometry)
 from hyprig.lattice import HaarBatch, load_preset, sample_haar
 from hyprig.regref import reference_vertices
 from hyprig.smear import (SAMPLE_BLOCK, SIGMA_FLOOR, RatioEstimate,
@@ -194,6 +195,40 @@ def test_act_ideal_many_matches_act_ideal():
     with pytest.raises(DimensionMismatch):
         make_boundary_map("planted_isometry",
                           g=random_isometry(rng, 2)).evaluate_many(X)
+
+
+def _act_ideal_many_rows(M, X):
+    """act_ideal_many by its row formula: the null lifts times M^T, then
+    the division by the last coordinate and the normalisation along the
+    last axis, n long."""
+    Y = np.matmul(null_lifts(X), np.swapaxes(M, -1, -2))
+    V = Y[..., :-1] / Y[..., -1:]
+    return V / np.sqrt(np.add.reduce(V * V, axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_act_ideal_many_planes_are_the_row_formula(n):
+    """act_ideal_many forms M L^T on coordinate planes and copies the
+    images back into rows: bit for bit the row formula, C-contiguous, for
+    one matrix on N points, N matrices on the k = n+1 vertices of a
+    simplex, N matrices each on its own point or block (the reflection
+    walk's and the stacked solve's shapes), and matrices and blocks
+    broadcast against each other, at N = 1, 16, 1288 (the consensus
+    walk) and 35008."""
+    rng = np.random.default_rng(80 + n)
+    for N in (1, 16, 1288, 35008):
+        M, _ = random_isometries(rng, n, N, max_translation=2.0)
+        cases = [(M[0], unit_rows(rng, (N, n))),
+                 (M, unit_rows(rng, (n + 1, n))),
+                 (M, unit_rows(rng, (N, 1, n))),
+                 (M, unit_rows(rng, (N, n + 1, n))),
+                 (M[:2, None], unit_rows(rng, (3, N, n))),
+                 (M[:3, None], unit_rows(rng, (1, N, n)))]
+        for A, X in cases:
+            got = act_ideal_many(A, X)
+            want = _act_ideal_many_rows(A, X)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got, want), (N, A.shape, X.shape)
 
 
 def test_tabulated_batch_separates_near_coincident_points():

@@ -21,6 +21,7 @@ from hyprig.errors import (
 )
 from hyprig.hypcore import (
     IdealPoint,
+    stack_det,
     Isometry,
     act_ideal,
     act_ideal_many,
@@ -37,13 +38,16 @@ from hyprig.regref import (MAX_WALK_SIZE, RegularSimplex, face_reflections,
                            reflection_walk, walk_size)
 from hyprig.rigidity import (
     _pair_isometries,
+    _walk_planes,
     consensus,
     isometry_from_simplex_pair,
     preserves_regular,
     reconstruct_isometry,
     verify_conjugacy,
 )
-from hyprig.volcocycle import IdealSimplex, is_regular, orientation_sign
+from hyprig.volcocycle import (COINCIDENCE_TOL, DEGENERATE_DET_TOL,
+                               IdealSimplex, is_regular, orientation_sign,
+                               regular_mask)
 
 
 def planted(g):
@@ -122,6 +126,118 @@ def test_preserves_regular_matches_per_trial_loop():
             expect = _preserves_regular_by_loop(phi, n, 30, seed=seed)
             assert (rep.pass_fraction, rep.orientation_mode) == expect
             assert (rep.trials, rep.tol) == (30, 1e-6)
+
+
+def _orientation_signs_rows(P):
+    """orientation_signs by its row formula on vertex orders P
+    (N, n+1, n): the closed-form determinant of the differences at
+    n <= 3 and LAPACK's of the null lifts at n = 4, then the degeneracy
+    cut and the coincidence test on pair gaps summed along the last
+    axis."""
+    n = P.shape[-1]
+    dets = ((-1) ** n * stack_det(P[:, 1:] - P[:, :1]) if n <= 3
+            else np.linalg.det(null_lifts(P)))
+    size, signs = np.abs(dets), np.sign(dets).astype(int)
+    near = np.flatnonzero(size <= DEGENERATE_DET_TOL * 2.0 ** (n + 1))
+    i, j = np.array(list(itertools.combinations(range(n + 1), 2))).T
+    diff = P[near][:, i] - P[near][:, j]
+    gaps2 = np.add.reduce(diff * diff, axis=-1)
+    flat = size[near] ** n <= DEGENERATE_DET_TOL ** n * np.prod(gaps2, axis=1)
+    signs[near[flat | np.any(gaps2 < COINCIDENCE_TOL ** 2, axis=1)]] = 0
+    return signs
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _degenerate_vertex_lists(rng, n, m, V):
+    """m vertex lists (m, V, n) of random points, of points on
+    (n-2)-spheres moved off them by 1e-12 to 1e-6 (near-flat simplices
+    on both sides of the degeneracy cut when n >= 3), and of points a
+    COINCIDENCE_TOL apart, in blocks of n+1."""
+    P = _unit(rng.standard_normal((m * V // (n + 1), n + 1, n)))
+    u = _unit(rng.standard_normal((len(P), n)))
+    W = rng.standard_normal((len(P), n + 1, n))
+    W = _unit(W - np.sum(W * u[:, None], axis=-1, keepdims=True) * u[:, None])
+    c = rng.uniform(-0.8, 0.8, (len(P), 1, 1))
+    flat = c * u[:, None] + np.sqrt(1.0 - c * c) * W
+    delta = 10.0 ** rng.uniform(-12.0, -6.0, len(P))
+    flat[:, -1] = _unit(flat[:, -1] + delta[:, None] * u)
+    P[1::3] = flat[1::3]
+    P[2::9, 1] = _unit(P[2::9, 0] + COINCIDENCE_TOL * rng.standard_normal(n))
+    return P.reshape(m, V, n)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_walk_planes_orientations_are_the_row_formula(n):
+    """The consensus walk's orientations, gathered by `_walk_planes` into
+    coordinate planes, are bit for bit `orientation_signs` by the row
+    formula on mapped[:, index]: on blocks of each list as simplices and
+    on random index rows, some with a repeated vertex, among near-flat
+    simplices straddling the degeneracy cut and pairs a COINCIDENCE_TOL
+    apart, where the sign takes its near-cut branch on a column subset
+    of the planes."""
+    rng = np.random.default_rng(90 + n)
+    m, V = 8, 60 * (n + 1)
+    mapped = _degenerate_vertex_lists(rng, n, m, V)
+    index = np.concatenate([np.arange(V).reshape(-1, n + 1),
+                            rng.integers(0, V, (200, n + 1))])
+    index[-20:, 1] = index[-20:, 0]
+    planes = _walk_planes(mapped, index)
+    rows = mapped[:, index].reshape(-1, n + 1, n)
+    assert np.array_equal(planes, rows.transpose(2, 1, 0))
+    got = volcocycle.plane_orientation_signs(planes)
+    want = _orientation_signs_rows(rows)
+    assert np.array_equal(got, want)
+    assert np.array_equal(volcocycle.orientation_signs(rows), want)
+    zero = want == 0
+    assert 0 < zero.sum() < len(want)
+    if n >= 3:
+        # near-flat blocks on both sides of the cut
+        near = zero[:V // (n + 1)][1::3]
+        assert 0 < near.sum() < len(near)
+
+
+def _to_hyperplane(X):
+    """The points of S^(n-1) projected onto the great sphere x_(n-1) = 0:
+    every image simplex is flat, its lifts' determinant rounding noise
+    below the degeneracy cut."""
+    Y = X.copy()
+    Y[:, -1] = 0.0
+    return _unit(Y)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_preserves_regular_signs_are_the_row_formula(n, monkeypatch):
+    """preserves_regular gathers the passing images and sources into one
+    stack of coordinate planes: its signs are bit for bit the row
+    formula's on np.concatenate([img[ok], src[ok]]), also for flat
+    images admitted by a loose tolerance, whose signs are 0."""
+    seen = []
+
+    def spy(X):
+        seen.append(volcocycle.plane_orientation_signs(X))
+        return seen[-1]
+
+    monkeypatch.setattr(rigidity, "plane_orientation_signs", spy)
+    g = random_isometry(np.random.default_rng(95 + n), n, 1.0)
+    maps = [(planted(g), 1e-6), (make_boundary_map(
+        "perturbed", g=g, amplitude=1e-8, seed=1), 1e-6)]
+    if n >= 3:
+        maps.append((BoundaryMap("flat", {}, None, _to_hyperplane), 1.0))
+    for seed, (phi, tol) in enumerate(maps):
+        rep = preserves_regular(phi, n, trials=60, tol=tol, seed=seed)
+        G, _ = random_isometries(np.random.default_rng(seed), n, 60,
+                                 max_translation=rigidity.WINDOW)
+        src = act_ideal_many(G, reference_vertices(n))
+        img = phi.evaluate_many(src.reshape(-1, n)).reshape(src.shape)
+        ok = regular_mask(img, tol)
+        assert rep.pass_fraction == ok.mean() > 0
+        want = _orientation_signs_rows(np.concatenate([img[ok], src[ok]]))
+        assert np.array_equal(seen[-1], want)
+        if phi.kind == "flat":
+            assert (want[:ok.sum()] == 0).all() and rep.orientation_mode == "opposite"
 
 
 def test_pair_solver_identity_and_random():
