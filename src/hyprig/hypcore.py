@@ -580,24 +580,42 @@ def random_isometries(rng, n: int, k: int, max_translation: float = 1.0,
     """k draws of :func:`random_isometry` as matrices (k, n+1, n+1) and
     orientation signs (k,).
 
-    The generator is read draw by draw, as k calls read it: the Gaussian
-    block of the frame, the translation length d, the Gaussian direction
-    u, each written in place.  The frames R and their orientation signs
-    are then formed on the whole stack, and each matrix is
+    The generator is read as k calls read it, in two calls per draw:
+    the Gaussian block A_0 of the first frame, then per draw i one
+    ``rng.random()`` for the translation length and one
+    ``standard_normal`` filling the direction u_i and the next frame's
+    block A_(i+1), which follow each other in the stream (the last call
+    fills u_(k-1) alone).  d_i = max_translation * U_i is
+    ``uniform(0, max_translation)`` bit for bit, and the directions are
+    normalised on the whole stack with the arithmetic of
+    ``v / sqrt(v . v)``.  The frames R and their orientation signs are
+    then formed on the whole stack, and each matrix is
     :func:`transvection_frames` of the point (sinh(d) u, cosh d) and R,
     the transvection carrying the basepoint there after the rotation.  A
     translation too long for floating point, one that leaves a matrix
     entry infinite or NaN (from d of about 355, where sinh(d)^2
     overflows), raises OutOfModel."""
-    A = np.empty((k, n, n))
+    # the window checks of numpy's uniform(0, max_translation)
+    if not math.isfinite(max_translation):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if max_translation < 0:
+        raise ValueError("high - low < 0")
+    # draw i's block [A_i, u_i] is row i of G, so u_i and A_(i+1) are
+    # one contiguous slice of the flat buffer
+    s = n * n + n
+    G = np.empty(k * s)
+    if k:
+        rng.standard_normal(out=G[:n * n])
     d = np.empty(k)
-    u = np.empty((k, n))
-    for i in range(k):
-        rng.standard_normal(out=A[i])
-        d[i] = rng.uniform(0.0, max_translation)
-        v = rng.standard_normal(out=u[i])
-        # the arithmetic of np.linalg.norm(v), without its call overhead
-        v /= math.sqrt(v.dot(v))
+    for i, start in enumerate(range(n * n, k * s, s)):
+        d[i] = rng.random()
+        rng.standard_normal(out=G[start:start + s])
+    d *= max_translation
+    G = G.reshape(k, s)
+    A = G[:, :n * n].reshape(k, n, n)
+    u = G[:, n * n:]
+    # stacked 1 x n by n x 1 products sum as ndarray.dot does
+    u = u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
     frames = _frames(A, orientation)
     signs = _frame_signs(frames)
     with np.errstate(all="ignore"):

@@ -134,32 +134,37 @@ def _scale_fit(k: int):
     return i, j, rows
 
 
-def _pair_isometries(X, Y, regularity_tol):
+def _pair_isometries(X, Y, regularity_tol, ok=None):
     """The isometries carrying source vertices X (m, n+1, n) to target
     vertices Y, pair by pair: matrices (m, n+1, n+1) and signs (m,).
+    ok, if given, is the caller's `regular_mask` of [X; Y] at
+    regularity_tol.
 
     Null lifts are determined only up to positive scale, so the scales
     are first normalized by a log-least-squares fit making the two Gram
     matrices equal; the linear solve then gives the matrix, which is
     re-orthogonalized against the form.  Every step takes the whole
-    stack: one regularity test per side, one Gram stack per side, one
-    least-squares call with the m fits as columns, one stacked solve,
-    `_lorentz_stack` and one residual test; each pair's arithmetic is bit
-    for bit that of solving it alone.  A failing pair raises: for m = 1
-    the pair's own error, and for a larger stack some pair's error, not
-    necessarily the first's (`consensus` replays the seeds one by one to
-    find the first).
+    stack, both sides at once where they are alike: one regularity test,
+    one null-lift stack and one Gram stack on [X; Y], one least-squares
+    call with the m fits as columns, one stacked solve, `_lorentz_stack`
+    and one residual test; each pair's arithmetic is bit for bit that of
+    solving it alone.  An irregular X raises before an irregular Y.  A
+    failing pair raises: for m = 1 the pair's own error, and for a larger
+    stack some pair's error, not necessarily the first's (`consensus`
+    replays the seeds one by one to find the first).
     """
-    for P in (X, Y):
-        ok = regular_mask(P, regularity_tol)
-        if not ok.all():
-            verts = [IdealPoint(x) for x in P[np.argmin(ok)]]
+    m = len(X)
+    XY = np.concatenate([X, Y])
+    if ok is None:
+        ok = regular_mask(XY, regularity_tol)
+    for P, okP in ((X, ok[:m]), (Y, ok[m:])):
+        if not okP.all():
+            verts = [IdealPoint(x) for x in P[np.argmin(okP)]]
             if not is_regular(verts, regularity_tol):
                 raise NotRegular("input simplex fails the regularity test")
-    S, T = null_lifts(X), null_lifts(Y)
-    J = minkowski_matrix(X.shape[-1])
-    GS = S @ J @ np.swapaxes(S, -1, -2)
-    GT = T @ J @ np.swapaxes(T, -1, -2)
+    L = null_lifts(XY)
+    G = L @ minkowski_matrix(X.shape[-1]) @ np.swapaxes(L, -1, -2)
+    S, T, GS, GT = L[:m], L[m:], G[:m], G[m:]
 
     # lam_i lam_j = GS_ij / GT_ij on off-diagonal entries (both Grams are
     # strictly negative there); solve for log lam in least squares, the m
@@ -212,25 +217,30 @@ def _reconstruct(phi, X, fresh, index, parity, tol, image_tol):
 
     fresh (m, F, n), index and parity are each seed's walk as
     `regref.flat_walk` gives it; seed i's vertex list is X[i], then fresh[i].
-    One `evaluate_many` call maps all vertex lists; the seed images are
-    gated for regularity and solved by one stacked `_pair_isometries`.
+    One `evaluate_many` call maps all vertex lists; one regularity test
+    of the seeds and their images gates the images and, when its
+    tolerance is the solve's, stands in for the test of the one stacked
+    `_pair_isometries`.
     One `act_ideal_many` compares every fresh image with the candidates',
     and one `plane_orientation_signs`, on the image simplices gathered
     into coordinate planes by `_walk_planes`, checks every image simplex
     against the root image's orientation times its parity.  The first
     failing seed raises at its first failing child, in walk order.
     """
-    k, n = X.shape[1:]
+    m, k, n = X.shape
     points = np.concatenate([X, fresh], axis=1)
     mapped = evaluate_many(phi, points.reshape(-1, n)).reshape(points.shape)
     Y = mapped[:, :k]
-    for i in np.flatnonzero(~regular_mask(Y, image_tol)):
+    ok = regular_mask(np.concatenate([X, Y]), image_tol)
+    for i in np.flatnonzero(~ok[m:]):
         try:  # is_regular tells coincident vertices from irregular ones
             is_regular([IdealPoint(y) for y in Y[i]], image_tol)
         except DegenerateSimplex as exc:
             raise ImageNotRegular(str(exc)) from exc
         raise ImageNotRegular("image of the seed simplex is not regular")
-    H, signs = _pair_isometries(X, Y, max(REGULARITY_TOL, image_tol))
+    pair_tol = max(REGULARITY_TOL, image_tol)
+    H, signs = _pair_isometries(X, Y, pair_tol,
+                                ok if pair_tol == image_tol else None)
     gaps = np.max(np.abs(act_ideal_many(H, fresh) - mapped[:, k:]), axis=-1)
     orient = plane_orientation_signs(_walk_planes(mapped, index)
                                      ).reshape(len(X), -1)

@@ -59,21 +59,15 @@ def _vertex_list(simplex):
 
 # -- Lobachevsky function ---------------------------------------------------
 
-_ZETA_TERMS = 24
-
-
-def _zeta_even(m: int) -> np.ndarray:
-    """zeta(2), zeta(4), ..., zeta(2m), from zeta(2) = pi^2/6 and
-    (k + 1/2) zeta(2k) = sum_{j=1}^{k-1} zeta(2j) zeta(2k - 2j)."""
-    z = [math.pi ** 2 / 6.0]
-    for k in range(2, m + 1):
-        z.append(math.fsum(z[j - 1] * z[k - j - 1] for j in range(1, k))
-                 / (k + 0.5))
-    return np.array(z)
-
-
-_K = np.arange(1, _ZETA_TERMS + 1)
-_SERIES = _zeta_even(_ZETA_TERMS) / (_K * (2 * _K + 1))
+# the degree-13 polynomial interpolating
+# sum_k zeta(2k)/(k(2k+1)) r^(k-1) at the 14 Chebyshev nodes of r in
+# [0, 1/4], coefficients of r^0 ... r^13 rounded from 50 digits
+_SERIES = np.array([
+    0.5483113556160755, 0.10823232337111433, 0.04844490771341241,
+    0.027891037685691296, 0.018199900649012703, 0.012823690465249858,
+    0.009523929541276318, 0.007359441730084177, 0.0057870186039473,
+    0.005167600971404188, 0.0020866351020545296, 0.00907650882024014,
+    -0.008135395315161739, 0.013294394690308683])
 
 
 def lobachevsky(theta):
@@ -81,9 +75,11 @@ def lobachevsky(theta):
 
     Evaluated by the log-accelerated series
     L(t) = t - t log|2t| + sum_k zeta(2k)/(k(2k+1)) t^{2k+1}/pi^{2k}
-    on |t| <= pi/2, where the reduction lands: its first 24 terms, summed
-    by Horner's rule in (t/pi)^2 <= 1/4.  The dropped terms sum to less
-    than 2e-18 there, so rounding sets the error.
+    on |t| <= pi/2, where the reduction lands: the sum is t r P(r) in
+    r = (t/pi)^2 <= 1/4, with P the degree-13 Chebyshev interpolant of
+    sum_k zeta(2k)/(k(2k+1)) r^(k-1) there, summed by Horner's rule.
+    P with its rounded coefficients is within 1.2e-17 of the series on
+    [0, 1/4], 4.6e-18 in L, so rounding sets the error.
     """
     theta = np.asarray(theta, dtype=float)
     # t = theta - k pi is exact for k = 0, so small angles keep every bit

@@ -16,6 +16,8 @@ from hyprig.errors import (
 from hyprig.hypcore import (
     Isometry,
     IdealPoint,
+    _frame_signs,
+    _frames,
     _lorentz_stack,
     SpacePoint,
     act_ideal,
@@ -39,6 +41,7 @@ from hyprig.hypcore import (
     straighten,
     translation_to,
     transvection,
+    transvection_frames,
 )
 
 
@@ -182,6 +185,60 @@ def test_random_isometries_match_frame_and_transvection(n, orientation):
                 assert np.abs(G - g.matrix).max() <= 10 * eps * scale ** 2
             # the generators are left in the same state
             assert batched.random() == looped.random() == single.random()
+
+
+def _random_isometries_three_calls(rng, n, k, max_translation,
+                                   orientation):
+    """`random_isometries` read the way it was first written: three
+    generator calls per draw, the frame block, ``uniform`` for the
+    translation length and the direction, each direction normalised on
+    its own."""
+    A = np.empty((k, n, n))
+    d = np.empty(k)
+    u = np.empty((k, n))
+    for i in range(k):
+        rng.standard_normal(out=A[i])
+        d[i] = rng.uniform(0.0, max_translation)
+        v = rng.standard_normal(out=u[i])
+        v /= math.sqrt(v.dot(v))
+    frames = _frames(A, orientation)
+    with np.errstate(all="ignore"):
+        P = np.concatenate([np.sinh(d)[:, None] * u, np.cosh(d)[:, None]],
+                           axis=1)
+        return transvection_frames(P, frames), _frame_signs(frames)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_isometries_are_the_three_call_loop_bit_for_bit(n):
+    # two generator calls per draw read the stream the three-call loop
+    # reads, and the stacked normalisation rounds as ndarray.dot does:
+    # every matrix and sign is bit for bit the loop's, and the generator
+    # is left in the same state
+    for seed in range(5):
+        for k in (1, 2, 8, 20):
+            for window in (0.0, 0.5, 2.5, 10.0):
+                for orientation in (None, 1, -1):
+                    fast, loop = (np.random.default_rng([seed, n, k])
+                                  for _ in range(2))
+                    M, signs = random_isometries(fast, n, k, window,
+                                                 orientation)
+                    M0, signs0 = _random_isometries_three_calls(
+                        loop, n, k, window, orientation)
+                    assert M.tobytes() == M0.tobytes()
+                    assert signs.tolist() == signs0.tolist()
+                    assert fast.bit_generator.state == loop.bit_generator.state
+    # no draw reads the generator, and a window numpy's uniform refuses
+    # is refused with its error
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    M, signs = random_isometries(rng, n, 0)
+    assert M.shape == (0, n + 1, n + 1) and signs.shape == (0,)
+    assert rng.bit_generator.state == state
+    for window in (-0.5, math.inf, math.nan):
+        with pytest.raises((ValueError, OverflowError)) as expect:
+            np.random.default_rng(0).uniform(0.0, window)
+        with pytest.raises(expect.type, match=str(expect.value)):
+            random_isometries(rng, n, 3, window)
 
 
 def test_act_ideal_matches_formula_bit_for_bit():

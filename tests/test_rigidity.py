@@ -21,6 +21,7 @@ from hyprig.errors import (
 )
 from hyprig.hypcore import (
     IdealPoint,
+    _lorentz_stack,
     stack_det,
     Isometry,
     act_ideal,
@@ -38,6 +39,7 @@ from hyprig.regref import (MAX_WALK_SIZE, RegularSimplex, face_reflections,
                            reflection_walk, walk_size)
 from hyprig.rigidity import (
     _pair_isometries,
+    _scale_fit,
     _walk_planes,
     consensus,
     isometry_from_simplex_pair,
@@ -417,6 +419,77 @@ def test_stacked_pair_solve_raises_the_first_failing_pairs_error(monkeypatch):
             assert str(alone.value) == str(expect)
 
 
+def _pair_isometries_two_passes(X, Y, regularity_tol):
+    """`_pair_isometries` as first written, each side's regularity test,
+    null lifts and Gram stack in a pass of its own."""
+    for P in (X, Y):
+        ok = regular_mask(P, regularity_tol)
+        if not ok.all():
+            verts = [IdealPoint(x) for x in P[np.argmin(ok)]]
+            if not is_regular(verts, regularity_tol):
+                raise NotRegular("input simplex fails the regularity test")
+    S, T = null_lifts(X), null_lifts(Y)
+    J = minkowski_matrix(X.shape[-1])
+    GS = S @ J @ np.swapaxes(S, -1, -2)
+    GT = T @ J @ np.swapaxes(T, -1, -2)
+    i, j, rows = _scale_fit(X.shape[1])
+    rhs = np.log(GS[:, i, j] / GT[:, i, j])
+    lam = np.exp(np.linalg.lstsq(rows, rhs.T, rcond=None)[0]).T
+    M = np.swapaxes(np.linalg.solve(S, lam[..., None] * T), -1, -2)
+    try:
+        M, signs = _lorentz_stack(M)
+    except (NotLorentz, TimeReversing) as exc:
+        raise NoExactSolve(f"simplices are not congruent: {exc}") from exc
+    worst = np.max(np.abs(act_ideal_many(M, X) - Y), axis=(-2, -1))
+    if np.any(worst > rigidity.SOLVE_RESIDUAL_TOL):
+        raise NoExactSolve(f"vertex residual {np.max(worst):.3e} "
+                           "after projection")
+    return M, signs
+
+
+def _raised(solve, X, Y):
+    try:
+        solve(X, Y, 1e-6)
+    except HyprigError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_isometries_are_the_two_pass_solve_bit_for_bit(n):
+    # both sides in one pass: the same matrices and signs on congruent
+    # stacks, and the same error, the source's first, when the source,
+    # the target or both fail the regularity test
+    rng = np.random.default_rng(67 + n)
+    for m in (1, 2, 8, 20):
+        for eps in (None, 1, -1):
+            X, Y = _congruent_pairs(rng, n, m, eps)
+            M, signs = _pair_isometries(X, Y, 1e-6)
+            M0, signs0 = _pair_isometries_two_passes(X, Y, 1e-6)
+            assert M.tobytes() == M0.tobytes()
+            assert signs.tolist() == signs0.tolist()
+    # every ideal triangle is regular, so at n = 2 only a repeated
+    # vertex fails the test
+    kinds = ("degenerate",) if n == 2 else ("irregular", "degenerate")
+    spoils = [((side, kind),) for side in "XY" for kind in kinds]
+    spoils += list(itertools.product(
+        [("X", kind) for kind in kinds], [("Y", kind) for kind in kinds]))
+    for case in spoils:
+        for rows in ((1, 3), (3, 1)):
+            X, Y = _congruent_pairs(rng, n, 5)
+            for i, (side, kind) in zip(rows, case):
+                P = X if side == "X" else Y
+                if kind == "degenerate":
+                    P[i, 1] = P[i, 0]
+                else:
+                    v = P[i, 0] + 1e-3 * rng.standard_normal(n)
+                    P[i, 0] = v / np.linalg.norm(v)
+            expect = _raised(_pair_isometries_two_passes, X, Y)
+            assert expect is not None
+            assert expect[0] in (NotRegular, DegenerateSimplex)
+            assert _raised(_pair_isometries, X, Y) == expect
+
+
 def test_reconstruct_planted():
     rng = np.random.default_rng(11)
     ref = reference_regular(3, 1)
@@ -428,6 +501,11 @@ def test_reconstruct_planted():
         assert res.depth == 4
     res = reconstruct_isometry(planted(identity_isometry(3)), ref, depth=3)
     assert np.max(np.abs(res.h.matrix - np.eye(4))) < 1e-10
+    # an image tolerance below the solve's regularity tolerance: the
+    # images and the pair are tested apart, with the same candidate
+    strict = reconstruct_isometry(planted(g), ref, depth=2, image_tol=1e-10)
+    loose = reconstruct_isometry(planted(g), ref, depth=2)
+    assert strict.h.matrix.tobytes() == loose.h.matrix.tobytes()
 
 
 def _assert_rounding_apart(h, expect):
