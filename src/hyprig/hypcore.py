@@ -470,28 +470,6 @@ def halfspace_chart(X) -> np.ndarray:
     return X[..., :-1] / (1.0 - X[..., -1:])
 
 
-def boundary_to_halfspace(xi: IdealPoint):
-    """:func:`halfspace_chart` of one boundary point, or None for the
-    pole itself (the point at infinity)."""
-    c = xi.coords
-    if 1.0 - c[-1] < 1e-13:
-        return None
-    return halfspace_chart(c)
-
-
-def halfspace_to_boundary(w, n: int) -> IdealPoint:
-    """Inverse of :func:`boundary_to_halfspace`; ``w`` is None for the
-    point at infinity."""
-    if w is None:
-        c = np.zeros(n)
-        c[-1] = 1.0
-        return IdealPoint(c)
-    w = np.asarray(w, dtype=float)
-    r2 = float(np.dot(w, w))
-    c = np.append(2.0 * w, r2 - 1.0) / (r2 + 1.0)
-    return IdealPoint(c / np.linalg.norm(c))
-
-
 # -- basic isometry constructors -------------------------------------------
 
 def basepoint(n: int) -> SpacePoint:
@@ -499,34 +477,6 @@ def basepoint(n: int) -> SpacePoint:
     c = np.zeros(n + 1)
     c[-1] = 1.0
     return SpacePoint(c)
-
-
-def point_symmetry(p: SpacePoint) -> Isometry:
-    """The geodesic symmetry at a point: -Id on the tangent space."""
-    return Isometry(_symmetries(p.coords), 1 if p.n % 2 == 0 else -1)
-
-
-def _symmetries(P) -> np.ndarray:
-    """Matrices of the geodesic symmetries at the hyperboloid points P
-    (..., n+1): -Id - 2 p p^T J."""
-    n = P.shape[-1] - 1
-    return (-np.eye(n + 1) - 2.0 * (P[..., :, None] * P[..., None, :])
-            @ minkowski_matrix(n))
-
-
-def transvection(p: SpacePoint, q: SpacePoint) -> Isometry:
-    """The hyperbolic translation along the geodesic carrying p to q."""
-    if p.n != q.n:
-        raise DimensionMismatch("points of different dimension")
-    s = p.coords + q.coords
-    m = SpacePoint(s / np.sqrt(-mink(s, s)))
-    g = point_symmetry(m) @ point_symmetry(p)
-    return Isometry(g.matrix, 1)
-
-
-def translation_to(x: SpacePoint) -> Isometry:
-    """The canonical transvection carrying the basepoint to x."""
-    return transvection(basepoint(x.n), x)
 
 
 def transvection_frames(P, R) -> np.ndarray:
@@ -558,11 +508,12 @@ def random_rotation(rng, n: int, orientation=None) -> np.ndarray:
 def _frames(A, orientation=None) -> np.ndarray:
     """The orthonormal frames of Gaussian blocks A (..., n, n): the QR
     factor Q with the signs of R's diagonal moved into it, its first
-    column negated where det Q is not the requested orientation."""
+    column negated where `_frame_signs` is not the requested
+    orientation."""
     Q, R = np.linalg.qr(A)
     Q = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
     if orientation is not None:
-        flip = np.sign(np.linalg.det(Q)) != orientation
+        flip = _frame_signs(Q) != orientation
         Q[..., :, 0] *= np.where(flip, -1.0, 1.0)[..., None]
     return Q
 
@@ -627,39 +578,3 @@ def random_isometries(rng, n: int, k: int, max_translation: float = 1.0,
         raise OutOfModel(f"translation length {d[np.argmin(finite)]:.6g} "
                          "overflows the hyperboloid coordinates")
     return M, signs
-
-
-def isometry_from_sl2(m, n: int) -> Isometry:
-    """The Lorentz image of an SL(2) matrix.
-
-    For n = 3 an element of SL(2, C) acting on the boundary sphere through
-    the chart w = (xi_1 + i xi_2) / (1 - xi_3); for n = 2 an element of
-    SL(2, R) acting on the boundary circle through w = xi_1 / (1 - xi_2).
-    The action on Hermitian (symmetric) matrices H -> m H m* gives the
-    linear action on R^(n,1).
-    """
-    m = np.asarray(m, dtype=complex)
-    if abs(np.linalg.det(m) - 1.0) > 1e-9:
-        raise NotLorentz("matrix is not in SL(2)")
-    if n == 2 and np.max(np.abs(m.imag)) > 1e-12:
-        raise DimensionMismatch("n = 2 requires a real SL(2) matrix")
-    if n not in (2, 3):
-        raise DimensionMismatch("SL(2) lifts exist only for n = 2, 3")
-
-    def to_herm(v):
-        # (x, y, z, t) -> [[t+z, x+iy], [x-iy, t-z]]; n = 2 drops y.
-        x = v[0]
-        y = v[1] if n == 3 else 0.0
-        z, t = v[-2], v[-1]
-        return np.array([[t + z, x + 1j * y], [x - 1j * y, t - z]])
-
-    def from_herm(H):
-        t = 0.5 * np.real(H[0, 0] + H[1, 1])
-        z = 0.5 * np.real(H[0, 0] - H[1, 1])
-        x = np.real(H[0, 1])
-        if n == 3:
-            return np.array([x, np.imag(H[0, 1]), z, t])
-        return np.array([x, z, t])
-
-    cols = [from_herm(m @ to_herm(e) @ m.conj().T) for e in np.eye(n + 1)]
-    return make_isometry(np.array(cols).T)

@@ -52,35 +52,14 @@ PRESET_DIR_ENV = "HYPRIG_PRESET_DIR"
 
 
 @dataclass(frozen=True)
-class _CellChart:
-    """Half-space geometry of one cell: base simplex, circumsphere, areas."""
-
-    base: np.ndarray       # (n, n-1) chart coordinates of non-pole vertices
-    center: np.ndarray
-    radius: float
-    area: float            # Euclidean volume of the base simplex
-    volume: float          # hyperbolic volume of the full cell
-
-
-@dataclass(frozen=True)
 class _Charts:
-    """The cell charts stacked into arrays, one row per cell; indexing
-    gives one cell's chart."""
+    """The half-space geometry of the cells, one row per cell."""
 
-    base: np.ndarray       # (C, n, n-1)
-    center: np.ndarray     # (C, n-1)
-    radius: np.ndarray     # (C,)
-    area: np.ndarray       # (C,)
-    volume: np.ndarray     # (C,)
-
-    @classmethod
-    def stack(cls, charts):
-        return cls(*(np.array([getattr(ch, f) for ch in charts])
-                     for f in ("base", "center", "radius", "area", "volume")))
-
-    def __getitem__(self, i) -> _CellChart:
-        return _CellChart(self.base[i], self.center[i], float(self.radius[i]),
-                          float(self.area[i]), float(self.volume[i]))
+    base: np.ndarray       # (C, n, n-1) chart coordinates of non-pole vertices
+    center: np.ndarray     # (C, n-1) circumcenter of the base
+    radius: np.ndarray     # (C,) circumradius of the base
+    area: np.ndarray       # (C,) Euclidean volume of the base simplex
+    volume: np.ndarray     # (C,) hyperbolic volume of the full cell
 
 
 @dataclass(frozen=True)
@@ -187,7 +166,9 @@ def _circumsphere(W):
 
 
 def _chart_cell(points):
-    """Project a cell with a vertex at the pole to its half-space base."""
+    """Project a cell with a vertex at the pole to its half-space base:
+    the `_Charts` fields of the cell, base, center, radius, area and
+    volume."""
     n = points[0].n
     pole = np.zeros(n)
     pole[-1] = 1.0
@@ -203,7 +184,7 @@ def _chart_cell(points):
     area = abs(np.linalg.det((W[1:] - W[0]).T)) / math.factorial(d) \
         if d > 1 else abs(W[1, 0] - W[0, 0])
     volume = abs(vol(points, tol=1e-9).value)
-    return _CellChart(W, center, radius, area, volume)
+    return W, center, radius, area, volume
 
 
 def _search_path():
@@ -278,7 +259,8 @@ def load_preset(name: str) -> LatticePreset:
                 raise PresetCorrupt(
                     f"face pairing {pr} does not glue (vertex mismatch)")
 
-    charts = _Charts.stack([_chart_cell(list(cell)) for cell in cells])
+    charts = _Charts(*map(np.array, zip(*(_chart_cell(list(cell))
+                                          for cell in cells))))
     covol = float(charts.volume.sum())
     if not np.isfinite(covol) or covol <= 0:
         raise PresetCorrupt("covolume is not finite positive")

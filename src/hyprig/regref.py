@@ -9,14 +9,14 @@ in face i of g.s is g r_i g^-1).  Letter i moves vertex i alone, so the
 walk computes only the one vertex each word moves, and gives every
 image simplex as a row of indices into one vertex list.  `orbit` and
 `rigidity.reconstruct_isometry` walk it; `reference_vertices` caches the
-vertices of the reference simplex, `reference_walk` its walk and
-`reference_flat_walk` that walk flattened into one vertex list, which
-`rigidity.consensus` moves onto each seed g.ref, since the walk of g.ref
-is g applied to it letter for letter.  A walk grows n-fold per letter,
-so each is held to MAX_WALK_SIZE simplices by default (`walk_size`
-counts them) and refuses a deeper one with BudgetExceeded before it
-starts.  `density_probe` measures how well the words approximate a
-target, scanning the walk's matrices level by level.
+vertices of the reference simplex and `reference_flat_walk` its walk
+flattened into one vertex list, which `rigidity.consensus` moves onto
+each seed g.ref, since the walk of g.ref is g applied to it letter for
+letter.  A walk grows n-fold per letter, so each is held to
+MAX_WALK_SIZE simplices by default (`walk_size` counts them) and refuses
+a deeper one with BudgetExceeded before it starts.  `density_probe`
+measures how well the words approximate a target, scanning the walk's
+matrices level by level.
 """
 
 from __future__ import annotations
@@ -151,30 +151,15 @@ def reference_vertices(n: int) -> np.ndarray:
     return X
 
 
-@functools.cache
-def reference_walk(n: int, depth: int):
-    """`reflection_walk` of reference_regular(n, 1) to the given depth, as
-    a tuple of (letters (K, L), index (K, n+1), fresh (K, n)) per word
-    length L, read-only; its vertex list starts with
-    `reference_vertices(n)`.  Computed on the first call for each
-    (n, depth)."""
-    ref = reference_regular(n, 1)
-    levels = tuple((letters, index, fresh) for letters, _, index, fresh
-                   in reflection_walk(ref, face_reflections(ref), depth))
-    for level in levels:
-        for a in level:
-            a.setflags(write=False)
-    return levels
-
-
-def flat_walk(n, levels):
-    """The levels (letters, index, fresh) of a reflection walk as one: the
-    fresh vertices (F, n) in breadth-first order, and the index rows
-    (1+F, n+1) and parities (-1)^L (1+F,) of its simplices, the root
-    first, into the root's n+1 vertices followed by the fresh ones."""
+def flat_walk(n, walk):
+    """The levels of a `reflection_walk` as one: the fresh vertices (F, n)
+    in breadth-first order, and the index rows (1+F, n+1) and parities
+    (-1)^L (1+F,) of its simplices, the root first, into the root's n+1
+    vertices followed by the fresh ones.  Each level's matrices are
+    dropped as it is read."""
     root = (np.zeros((1, 0), dtype=np.int64), np.arange(n + 1)[None],
             np.empty((0, n)))
-    letters, index, fresh = zip(root, *levels)
+    letters, index, fresh = zip(root, *((w, i, f) for w, _, i, f in walk))
     parity = np.concatenate([np.full(len(w), (-1) ** w.shape[1])
                              for w in letters])
     return np.concatenate(fresh), np.concatenate(index), parity
@@ -182,10 +167,12 @@ def flat_walk(n, levels):
 
 @functools.cache
 def reference_flat_walk(n: int, depth: int):
-    """`reference_walk(n, depth)` as `flat_walk` gives it, (fresh, index,
-    parity), read-only; flattened once, on the first call for each
-    (n, depth)."""
-    flat = flat_walk(n, reference_walk(n, depth))
+    """`reflection_walk` of reference_regular(n, 1) to the given depth as
+    `flat_walk` gives it, (fresh, index, parity), read-only; its vertex
+    list starts with `reference_vertices(n)`.  Walked and flattened once,
+    on the first call for each (n, depth)."""
+    ref = reference_regular(n, 1)
+    flat = flat_walk(n, reflection_walk(ref, face_reflections(ref), depth))
     for a in flat:
         a.setflags(write=False)
     return flat

@@ -48,8 +48,7 @@ from .lattice import LatticePreset
 from .regref import (MAX_WALK_SIZE, RegularSimplex, face_reflections,
                      flat_walk, reference_flat_walk, reference_vertices,
                      reflection_walk, walk_size)
-from .volcocycle import (is_regular, plane_orientation_signs,
-                         plane_regular_mask, regular_mask)
+from .volcocycle import is_regular, orientation_signs, regular_mask
 
 REGULARITY_TOL = 1e-9
 IMAGE_TOL = 1e-6
@@ -83,7 +82,7 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     compared with the source orientation.  The isometries are drawn as
     one stack; all trials are then mapped and tested as one batch, the
     images and sources copied once into coordinate planes that the
-    regularity and orientation tests read.
+    regularity and orientation tests read through transposed views.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -93,10 +92,10 @@ def preserves_regular(phi, n: int, trials: int, tol: float = IMAGE_TOL,
     img = evaluate_many(phi, src.reshape(-1, n)).reshape(src.shape)
     # images, then sources, as coordinate planes (n, n+1, 2 trials)
     planes = np.concatenate([img.T, src.T], axis=-1)
-    ok = plane_regular_mask(planes[..., :trials], tol)
+    ok = regular_mask(planes[..., :trials].T, tol)
     passed = int(ok.sum())
     # image and source orientations of the passing trials in one call
-    signs = plane_orientation_signs(planes[..., np.concatenate([ok, ok])])
+    signs = orientation_signs(planes[..., np.concatenate([ok, ok])].T)
     same = signs[:passed] == signs[passed:]
     modes = {"same" if s else "opposite" for s in same}
     mode = modes.pop() if len(modes) == 1 else "mixed" if modes else "none"
@@ -200,9 +199,8 @@ def reconstruct_isometry(phi, seed_simplex: RegularSimplex, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    fresh, index, parity = flat_walk(seed_simplex.base.n, (
-        (letters, index, fresh) for letters, _, index, fresh in
-        reflection_walk(seed_simplex, face_reflections(seed_simplex), depth)))
+    fresh, index, parity = flat_walk(seed_simplex.base.n, reflection_walk(
+        seed_simplex, face_reflections(seed_simplex), depth))
     H, signs, worst = _reconstruct(phi, _vertex_array(seed_simplex)[None],
                                    fresh[None], index, parity, tol, image_tol)
     return ReconstructionResult(h=Isometry(H[0], int(signs[0])),
@@ -222,10 +220,11 @@ def _reconstruct(phi, X, fresh, index, parity, tol, image_tol):
     tolerance is the solve's, stands in for the test of the one stacked
     `_pair_isometries`.
     One `act_ideal_many` compares every fresh image with the candidates',
-    and one `plane_orientation_signs`, on the image simplices gathered
-    into coordinate planes by `_walk_planes`, checks every image simplex
-    against the root image's orientation times its parity.  The first
-    failing seed raises at its first failing child, in walk order.
+    and one `orientation_signs`, on the image simplices gathered into
+    coordinate planes by `_walk_planes` (a transposed view), checks every
+    image simplex against the root image's orientation times its parity.
+    The first failing seed raises at its first failing child, in walk
+    order.
     """
     m, k, n = X.shape
     points = np.concatenate([X, fresh], axis=1)
@@ -242,8 +241,8 @@ def _reconstruct(phi, X, fresh, index, parity, tol, image_tol):
     H, signs = _pair_isometries(X, Y, pair_tol,
                                 ok if pair_tol == image_tol else None)
     gaps = np.max(np.abs(act_ideal_many(H, fresh) - mapped[:, k:]), axis=-1)
-    orient = plane_orientation_signs(_walk_planes(mapped, index)
-                                     ).reshape(len(X), -1)
+    orient = orientation_signs(_walk_planes(mapped, index).T
+                               ).reshape(len(X), -1)
     bad = (gaps > tol) | (orient[:, 1:] != parity[1:] * orient[:, :1])
     failing = np.flatnonzero(bad.any(axis=1))
     if len(failing):

@@ -137,15 +137,10 @@ def _plane_gaps2(X):
     return np.add.reduce(diff, axis=0)
 
 
-def _pair_gaps2(P):
-    """`_plane_gaps2` of a batch P (N, k, n), as (N, C(k, 2))."""
-    return _plane_gaps2(P.transpose(2, 1, 0)).T
-
-
 def _coincident_rows(gaps2):
-    """Per simplex, from its squared pair gaps (N, C(k, 2)) of
-    `_pair_gaps2`: whether two vertices coincide."""
-    return np.any(gaps2 < COINCIDENCE_TOL ** 2, axis=1)
+    """Per simplex, from its squared pair gaps (C(k, 2), N) of
+    `_plane_gaps2`: whether two vertices coincide."""
+    return np.any(gaps2 < COINCIDENCE_TOL ** 2, axis=0)
 
 
 def _plane_signs(X, dets) -> np.ndarray:
@@ -170,7 +165,7 @@ def _plane_signs(X, dets) -> np.ndarray:
         gaps2 = _plane_gaps2(X[:, :, near])
         flat = (size[near] ** n
                 <= DEGENERATE_DET_TOL ** n * np.prod(gaps2, axis=0))
-        signs[near[flat | _coincident_rows(gaps2.T)]] = 0
+        signs[near[flat | _coincident_rows(gaps2)]] = 0
     return signs
 
 
@@ -192,20 +187,15 @@ def _plane_dets(X) -> np.ndarray:
     return np.linalg.det(null_lifts(X.transpose(2, 1, 0)))
 
 
-def plane_orientation_signs(X) -> np.ndarray:
-    """`orientation_signs` of N vertex orders given as coordinate planes
-    X (n, n+1, N), as a gather of vertex planes gives them: the same
-    values, without a transpose back to rows."""
-    return _plane_signs(X, _plane_dets(X))
-
-
 def orientation_signs(P) -> np.ndarray:
     """Orientations of N vertex orders P (N, n+1, n): the sign of det of
     the null lifts (`_plane_dets`), 0 where two vertices coincide or below
     the degeneracy cut of `_plane_signs`, where the points lie on the
-    boundary sphere of a hyperplane (the straightened simplex is flat)."""
-    P = np.asarray(P, dtype=float)
-    return plane_orientation_signs(P.transpose(2, 1, 0))
+    boundary sphere of a hyperplane (the straightened simplex is flat).
+    The kernels read the coordinate planes P.transpose(2, 1, 0); a
+    transposed view of planes passes them in without a copy."""
+    X = np.asarray(P, dtype=float).transpose(2, 1, 0)
+    return _plane_signs(X, _plane_dets(X))
 
 
 def orientation_sign(simplex) -> int:
@@ -260,7 +250,7 @@ def _vol3_planes(P):
     num = det(3, 0) * det(1, 2)
     den = det(3, 2) * det(1, 0)
     gaps2 = _plane_gaps2(X)
-    flat = (den == 0) | _coincident_rows(gaps2.T)
+    flat = (den == 0) | _coincident_rows(gaps2)
     z = num / np.where(flat, 1.0, den)
     re, im = z.real, z.imag
     flat |= im == 0
@@ -373,7 +363,7 @@ def _det_error(M):
 
 
 _EDGE_I, _EDGE_J = np.triu_indices(5, 1)
-# the Gram entry (r, c) as a column of the pair gaps of `_pair_gaps2`,
+# the Gram entry (r, c) as a column of the pair gaps of `_plane_gaps2`,
 # lexicographic like _EDGE_I, _EDGE_J, padded by a zero column for r = c
 _PAIR = np.full((5, 5), 10)
 _PAIR[_EDGE_I, _EDGE_J] = _PAIR[_EDGE_J, _EDGE_I] = np.arange(10)
@@ -437,7 +427,7 @@ def vol4_batch(P):
     any_dead = dead.any()
     det = np.abs(det)
     D = np.zeros((len(P), 11))
-    np.multiply(_pair_gaps2(P), -0.5, out=D[:, :10])
+    np.multiply(_plane_gaps2(X).T, -0.5, out=D[:, :10])
     if any_dead:
         # the dead rows compute the regular simplex, whose vertex gaps
         # are sqrt(5/2), then are set to 0
@@ -613,16 +603,11 @@ def regular_mask(P, tol: float = 1e-9) -> np.ndarray:
     Tested through the full set of absolute cross-ratios of chordal
     distances, (d_ij d_kl)/(d_ik d_jl) over vertex quadruples, which are
     a complete system of Moebius invariants; for the regular simplex all
-    of them equal 1."""
-    P = np.asarray(P, dtype=float)
-    return plane_regular_mask(P.transpose(2, 1, 0), tol)
-
-
-def plane_regular_mask(X, tol: float = 1e-9) -> np.ndarray:
-    """`regular_mask` of N simplices given as coordinate planes
-    X (n, m, N), read plane by plane: the pair distances are the rows
-    (C(m, 2), N) of `_plane_gaps2`, and every product and ratio of them
-    is a row operation."""
+    of them equal 1.  They are read from the coordinate planes
+    P.transpose(2, 1, 0): the pair distances are the rows (C(m, 2), N) of
+    `_plane_gaps2`, and every product and ratio of them is a row
+    operation."""
+    X = np.asarray(P, dtype=float).transpose(2, 1, 0)
     D = np.sqrt(_plane_gaps2(X))
     ok = np.min(D, axis=0) >= max(tol, COINCIDENCE_TOL)
     left, right = _cross_ratio_columns(X.shape[1])
@@ -640,7 +625,7 @@ def is_regular(simplex, tol: float = 1e-9) -> bool:
     P = np.array([p.coords for p in _vertex_list(simplex)])
     if regular_mask(P[None], tol)[0]:
         return True
-    gap = math.sqrt(np.min(_pair_gaps2(P[None])))
+    gap = math.sqrt(np.min(_plane_gaps2(P.T[..., None])))
     if gap < max(tol, COINCIDENCE_TOL):
         raise DegenerateSimplex(f"vertex gap {gap:.3e} below tolerance")
     return False

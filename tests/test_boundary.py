@@ -300,7 +300,9 @@ def test_json_round_trips():
 def _gamma_field_by_isometry(mu, x):
     """The conformal field as its definition reads: the translation
     taking x to the origin, applied to each atom."""
-    from hyprig.hypcore import SpacePoint, convert, translation_to
+    from oracles import translation_to
+
+    from hyprig.hypcore import SpacePoint, convert
     ginv = translation_to(SpacePoint(convert(x, "poincare",
                                              "hyperboloid"))).inverse()
     return sum(w * act_ideal(ginv, p).coords for p, w in mu.atoms)

@@ -165,12 +165,13 @@ def test_sample_points_lie_in_domain():
         x = s.g.matrix[:, -1]  # image of the basepoint
         hs = convert(x / np.sqrt(-float(x[:3] @ x[:3] - x[3] ** 2)),
                      "hyperboloid", "halfspace")
-        ch = p.charts[s.cell]
+        ch = p.charts
+        base, center = ch.base[s.cell], ch.center[s.cell]
         # height above the cell's floor sphere
-        h2 = ch.radius ** 2 - np.dot(hs[:2] - ch.center, hs[:2] - ch.center)
+        h2 = ch.radius[s.cell] ** 2 - np.dot(hs[:2] - center, hs[:2] - center)
         assert hs[2] ** 2 >= max(h2, 0.0) - 1e-9
         # foot inside the base triangle
         lam = np.linalg.solve(
-            np.vstack([ch.base.T[:, 1:] - ch.base.T[:, :1], np.ones((1, 2))])[:2],
-            (hs[:2] - ch.base[0]))
+            np.vstack([base.T[:, 1:] - base.T[:, :1], np.ones((1, 2))])[:2],
+            (hs[:2] - base[0]))
         assert lam.min() > -1e-9 and lam.sum() < 1 + 1e-9

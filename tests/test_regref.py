@@ -25,7 +25,6 @@ from hyprig.regref import (
     reference_flat_walk,
     reference_regular,
     reference_vertices,
-    reference_walk,
     reflection_walk,
     walk_size,
 )
@@ -252,37 +251,25 @@ def test_reflection_walk_maps_each_vertex_once(n):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(n=st.integers(2, 4), depth=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([1, -1]))
-def test_reference_walk_moved_by_g_is_the_walk_of_g_ref(n, depth, seed, eps):
+def test_reference_flat_walk_moved_by_g_is_the_walk_of_g_ref(n, depth, seed,
+                                                             eps):
     # the face reflections of g.ref are g r_i g^-1, so the walk of g.ref
     # is g applied to the reference walk, letter for letter, with the
     # same vertex list layout
     g = random_isometry(np.random.default_rng(seed), n, 1.0, orientation=eps)
     verts = tuple(act_ideal(g, v) for v in reference_regular(n, 1).base.vertices)
     s = RegularSimplex(IdealSimplex(verts), orientation_sign(verts))
-    own = list(reflection_walk(s, face_reflections(s), depth))
-    cached = reference_walk(n, depth)
-    assert len(cached) == len(own) == depth
-    for (letters, index, fresh), (own_letters, _, own_index, own_fresh) in zip(
-            cached, own):
-        assert np.array_equal(letters, own_letters)
-        assert np.array_equal(index, own_index)
-        assert np.max(np.abs(act_ideal_many(g.matrix, fresh) - own_fresh)) \
-            < 1e-12
+    own_fresh, own_index, own_parity = flat_walk(
+        n, reflection_walk(s, face_reflections(s), depth))
+    fresh, index, parity = reference_flat_walk(n, depth)
+    assert np.array_equal(index, own_index)
+    assert np.array_equal(parity, own_parity)
+    assert len(fresh) == len(own_fresh) == walk_size(n, depth) - 1
+    assert np.max(np.abs(act_ideal_many(g.matrix, fresh) - own_fresh),
+                  initial=0.0) < 1e-12
 
 
-def test_reference_walk_is_cached_read_only_and_filled_on_first_call():
-    levels = reference_walk(3, 2)
-    assert reference_walk(3, 2) is levels
-    for level in levels:
-        for a in level:
-            with pytest.raises(ValueError):
-                a.flat[0] = 0
-    ref = reference_regular(3, 1)
-    for (letters, index, fresh), (own_letters, _, own_index, own_fresh) in zip(
-            levels, reflection_walk(ref, face_reflections(ref), 2)):
-        assert np.array_equal(letters, own_letters)
-        assert np.array_equal(index, own_index)
-        assert np.array_equal(fresh, own_fresh)
+def test_reference_vertices_are_cached_read_only_and_filled_on_first_call():
     for n in (2, 3, 4):
         X = reference_vertices(n)
         assert reference_vertices(n) is X
@@ -292,7 +279,7 @@ def test_reference_walk_is_cached_read_only_and_filled_on_first_call():
             X[0, 0] = 0.0
     # importing the package leaves the caches empty
     code = ("import hyprig.cli, hyprig.regref as r; "
-            "print(r.reference_walk.cache_info().currsize, "
+            "print(r.reference_flat_walk.cache_info().currsize, "
             "r.reference_vertices.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
@@ -303,7 +290,9 @@ def test_reference_flat_walk_is_the_cached_walk_flattened_once():
     for n, depth in ((2, 5), (3, 3), (4, 2)):
         flat = reference_flat_walk(n, depth)
         assert reference_flat_walk(n, depth) is flat
-        for got, want in zip(flat, flat_walk(n, reference_walk(n, depth))):
+        ref = reference_regular(n, 1)
+        walk = reflection_walk(ref, face_reflections(ref), depth)
+        for got, want in zip(flat, flat_walk(n, walk)):
             assert np.array_equal(got, want)
             with pytest.raises(ValueError):
                 got.flat[0] = 0

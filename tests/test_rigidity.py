@@ -173,9 +173,9 @@ def _degenerate_vertex_lists(rng, n, m, V):
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_walk_planes_orientations_are_the_row_formula(n):
-    """The consensus walk's orientations, gathered by `_walk_planes` into
-    coordinate planes, are bit for bit `orientation_signs` by the row
-    formula on mapped[:, index]: on blocks of each list as simplices and
+    """The consensus walk's orientations, `orientation_signs` on the
+    transposed view of the coordinate planes that `_walk_planes` gathers,
+    are bit for bit the row formula on mapped[:, index]: on blocks of each list as simplices and
     on random index rows, some with a repeated vertex, among near-flat
     simplices straddling the degeneracy cut and pairs a COINCIDENCE_TOL
     apart, where the sign takes its near-cut branch on a column subset
@@ -189,7 +189,7 @@ def test_walk_planes_orientations_are_the_row_formula(n):
     planes = _walk_planes(mapped, index)
     rows = mapped[:, index].reshape(-1, n + 1, n)
     assert np.array_equal(planes, rows.transpose(2, 1, 0))
-    got = volcocycle.plane_orientation_signs(planes)
+    got = volcocycle.orientation_signs(planes.T)
     want = _orientation_signs_rows(rows)
     assert np.array_equal(got, want)
     assert np.array_equal(volcocycle.orientation_signs(rows), want)
@@ -218,11 +218,11 @@ def test_preserves_regular_signs_are_the_row_formula(n, monkeypatch):
     images admitted by a loose tolerance, whose signs are 0."""
     seen = []
 
-    def spy(X):
-        seen.append(volcocycle.plane_orientation_signs(X))
+    def spy(P):
+        seen.append(volcocycle.orientation_signs(P))
         return seen[-1]
 
-    monkeypatch.setattr(rigidity, "plane_orientation_signs", spy)
+    monkeypatch.setattr(rigidity, "orientation_signs", spy)
     g = random_isometry(np.random.default_rng(95 + n), n, 1.0)
     maps = [(planted(g), 1e-6), (make_boundary_map(
         "perturbed", g=g, amplitude=1e-8, seed=1), 1e-6)]

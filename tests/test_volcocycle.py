@@ -27,8 +27,8 @@ from hyprig.volcocycle import (
     _coincident_rows,
     _det_error,
     _index_sets,
-    _pair_gaps2,
     _plane_dets,
+    _plane_gaps2,
     _plane_signs,
     _vol3_planes,
     is_regular,
@@ -412,6 +412,12 @@ def test_is_regular():
         is_regular([pts[0], pts[0], pts[1], pts[2]], 1e-6)
 
 
+def plane_backed(P):
+    """The rows P (N, k, n) as a view of contiguous coordinate planes
+    (n, k, N), the layout that `rigidity` passes to the row API."""
+    return np.ascontiguousarray(P.transpose(2, 1, 0)).transpose(2, 1, 0)
+
+
 def _regular_by_loop(P, tol):
     """The quadruple loop regularity test, one simplex (m, n) at a time:
     None for a vertex gap below max(tol, 1e-12), else the verdict."""
@@ -453,6 +459,7 @@ def test_regular_mask_matches_quadruple_loop(n, m):
         mask = regular_mask(batch, tol)
         expect = [_regular_by_loop(P, tol) for P in batch]
         assert mask.tolist() == [bool(e) for e in expect]
+        assert np.array_equal(regular_mask(plane_backed(batch), tol), mask)
         for P, e in zip(batch, expect):
             pts = [IdealPoint(p) for p in P]
             if e is None:
@@ -827,11 +834,11 @@ def test_vol3_abs_error_bounds_the_oracle():
 
 
 def test_vol3_coincidence_is_the_pair_gaps_decision():
-    """vol3_batch takes its pair gaps with `_pair_gaps2`'s arithmetic on
-    the coordinate planes, so the gaps are the same bits, and a
-    tetrahedron is 0 exactly where `_coincident_rows` finds a
-    coincident pair, also on pairs straddling COINCIDENCE_TOL by 1e-3
-    relative, where the gaps' last bits decide."""
+    """vol3_batch takes its pair gaps with `_plane_gaps2` on the
+    coordinate planes it copies, so the gaps are the same bits as on the
+    planes of the rows, and a tetrahedron is 0 exactly where
+    `_coincident_rows` finds a coincident pair, also on pairs straddling
+    COINCIDENCE_TOL by 1e-3 relative, where the gaps' last bits decide."""
     rng = np.random.default_rng(69)
     P = unit_rows(rng.standard_normal((4000, 4, 3)))
     (i, j), rows = _index_sets(4)[0], np.arange(len(P))
@@ -841,9 +848,9 @@ def test_vol3_coincidence_is_the_pair_gaps_decision():
     t = unit_rows(t - np.sum(t * base, axis=1, keepdims=True) * base)
     h = COINCIDENCE_TOL * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, len(P)))
     P[rows, j[pair]] = unit_rows(base + h[:, None] * t)
-    gaps2 = _pair_gaps2(P)
-    values, _, plane_gaps2 = _vol3_planes(P)
-    assert np.array_equal(plane_gaps2, gaps2.T)
+    gaps2 = _plane_gaps2(P.transpose(2, 1, 0))
+    values, _, vol3_gaps2 = _vol3_planes(P)
+    assert np.array_equal(vol3_gaps2, gaps2)
     coincident = _coincident_rows(gaps2)
     assert 0.2 < coincident.mean() < 0.8
     assert np.array_equal(values == 0.0, coincident)
@@ -868,7 +875,9 @@ def test_rows_alone_match_batches():
     """Each row of vol3_batch and of orientation_signs, and of the
     determinants behind the signs, has the same bits alone as in batches
     of N = 16, 256 and 1288 (an item's test candidates, its images, the
-    consensus walk), at the start and at the end of a larger batch."""
+    consensus walk), at the start and at the end of a larger batch, and
+    orientation_signs the same bits on the batches as views of
+    coordinate planes."""
     rng = np.random.default_rng(70)
     for n in (2, 3):
         P = _mixed_simplices(rng, n, 1500)
@@ -881,6 +890,11 @@ def test_rows_alone_match_batches():
                 for start in (0, len(P) - N):
                     assert np.array_equal(f(P[start:start + N]),
                                           alone[start:start + N]), (f, N)
+        for N in (16, 256, 1288):
+            for start in (0, len(P) - N):
+                assert np.array_equal(
+                    orientation_signs(plane_backed(P[start:start + N])),
+                    orientation_signs(P[start:start + N])), N
 
 
 @pytest.mark.parametrize("n", (2, 3))
