@@ -16,7 +16,7 @@ half-space model sends the pole (0, ..., 0, 1) to infinity; its charts are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,23 +185,30 @@ def gram_schmidt(A, form=None) -> np.ndarray:
     Rozloznik 2005), in the Euclidean product or in the diagonal form
     ``form`` (k,) of +-1.  The second pass keeps them orthonormal to
     rounding for ill-conditioned A; Gaussian A give the Haar frames of
-    O(k), the Q of A = QR with positive R diagonal (Mezzadri 2007)."""
-    cols = [A[..., :, j].copy() for j in range(A.shape[-1])]
-    duals = []  # q form / <q, q>: the coefficient of v along q is <dual, v>
-    for v in cols:
-        for _ in range(2):
-            coef = [np.einsum("...i,...i->...", d, v) for d in duals]
-            for q, c in zip(cols, coef):
-                v -= c[..., None] * q
-        # sample_haar's frames: a form of ones slows the smear workloads 4%
+    O(k), the Q of A = QR with positive R diagonal (Mezzadri 2007).
+
+    The work runs on A copied once into coordinate planes (k, k, M),
+    M the stack size, plane (i, j) holding entry (i, j) of every matrix,
+    and the result is a (..., k, k) view of them."""
+    A = np.asarray(A, dtype=float)
+    k = A.shape[-1]
+    P = A.reshape(-1, k, k).transpose(1, 2, 0).copy()
+    # the duals q form / <q, q>: the coefficient of v along q is <dual, v>
+    D = P if form is None else np.empty_like(P)
+    if form is not None:
+        form = np.asarray(form, dtype=float)[:, None]
+    for j in range(k):
+        v = P[:, j]
+        for _ in range(2 if j else 0):
+            coef = np.einsum("ijm,im->jm", D[:, :j], v)
+            v -= np.einsum("jm,ijm->im", coef, P[:, :j])
         if form is None:
-            v /= np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
-            duals.append(v)
+            v /= np.sqrt(np.einsum("im,im->m", v, v))
         else:
-            norm2 = np.einsum("...i,...i->...", v * form, v)
-            v /= np.sqrt(np.abs(norm2))[..., None]
-            duals.append(v * form * np.sign(norm2)[..., None])
-    return np.stack(cols, axis=-1)
+            norm2 = np.einsum("im,im->m", v * form, v)
+            v /= np.sqrt(np.abs(norm2))
+            D[:, j] = v * form * np.sign(norm2)
+    return P.transpose(2, 0, 1).reshape(A.shape)
 
 
 def make_isometry(matrix) -> Isometry:

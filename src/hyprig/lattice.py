@@ -16,6 +16,14 @@ cells are drawn by inverse CDF and the feet as normalised exponential
 spacings, the very draws of Generator.choice and Generator.dirichlet;
 the frames are the Gram-Schmidt orthonormalisations of Gaussian
 matrices by `hypcore.gram_schmidt` (Mezzadri, Notices AMS 54, 2007).
+
+A stream k of a seed is drawn from numpy's child
+``SeedSequence(seed, spawn_key=(k,))`` through ``default_rng``, bit for
+bit.  The generators of all the streams of one call are made in a
+single array pass over the root ``SeedSequence(seed)``'s pool, which
+repeats numpy's spawn-word mixing and state generation
+(`_stream_generators`), so a call builds one ``SeedSequence`` however
+many streams it draws.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -53,13 +62,21 @@ PRESET_DIR_ENV = "HYPRIG_PRESET_DIR"
 
 @dataclass(frozen=True)
 class _Charts:
-    """The half-space geometry of the cells, one row per cell."""
+    """The half-space geometry of the cells, one row per cell, and the
+    per-cell tables `sample_haar` reads, filled once by `load_preset`."""
 
     base: np.ndarray       # (C, n, n-1) chart coordinates of non-pole vertices
     center: np.ndarray     # (C, n-1) circumcenter of the base
     radius: np.ndarray     # (C,) circumradius of the base
     area: np.ndarray       # (C,) Euclidean volume of the base simplex
     volume: np.ndarray     # (C,) hyperbolic volume of the full cell
+    # (C,) cumulative cell shares volume/covolume, divided by its last
+    # entry: the CDF that Generator.choice(p=...) inverts
+    cdf: np.ndarray
+    r2: np.ndarray         # (C,) radius ** 2
+    # (C,) area / (d volume), d = n - 1: a sample's density ratio is
+    # this times h^{-d}, h the height of the cell floor above its foot
+    weight_scale: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -259,17 +276,98 @@ def load_preset(name: str) -> LatticePreset:
                 raise PresetCorrupt(
                     f"face pairing {pr} does not glue (vertex mismatch)")
 
-    charts = _Charts(*map(np.array, zip(*(_chart_cell(list(cell))
-                                          for cell in cells))))
-    covol = float(charts.volume.sum())
+    base, center, radius, area, volume = map(
+        np.array, zip(*(_chart_cell(list(cell)) for cell in cells)))
+    covol = float(volume.sum())
     if not np.isfinite(covol) or covol <= 0:
         raise PresetCorrupt("covolume is not finite positive")
-    if np.any(charts.volume > v_n(n) + 1e-9):
+    if np.any(volume > v_n(n) + 1e-9):
         raise PresetCorrupt("cell volume exceeds the regular ideal bound")
+    cdf = (volume / covol).cumsum()
+    cdf /= cdf[-1]
+    charts = _Charts(base, center, radius, area, volume, cdf=cdf,
+                     r2=radius ** 2, weight_scale=area / ((n - 1) * volume))
 
     return LatticePreset(name=str(raw["name"]), n=n, generators=generators,
                          relators=relators, cells=cells, face_pairings=pairings,
                          charts=charts, covolume=covol)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the
+# multipliers of its mix(), and the hash constants init * mult^i
+# (mod 2^32), i the number of words hashed before, of its entropy
+# hashmix() and of generate_state()
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+
+
+def _hash_consts(init, mult, start, count):
+    return np.array([init * pow(mult, i, 1 << 32) & _MASK32
+                     for i in range(start, start + count)], dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=16)
+def _spawn_consts(start):
+    return _hash_consts(0x43b0d7e5, 0x931e8875, start, 5)
+
+
+# generate_state(4, uint64) hashes the pool twice over: the constants of
+# its eight words as (2, 4) blocks, before and after each step
+_STATE_CONSTS = _hash_consts(0x8b51f9dd, 0x58f38ded, 0, 9)
+_STATE_XOR = _STATE_CONSTS[:8].reshape(2, 4)
+_STATE_MUL = _STATE_CONSTS[1:].reshape(2, 4)
+
+
+@functools.cache
+def _numpy_seeding():
+    """numpy's entropy coercion, and a seed sequence type that hands a
+    bit generator the state words it was made with (PCG64 asks for
+    generate_state(4, uint64)).  Made on first use, so that importing
+    hyprig does not load numpy.random."""
+    from numpy.random.bit_generator import (ISeedSequence,
+                                            _coerce_to_uint32_array)
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Words, _coerce_to_uint32_array
+
+
+def _stream_generators(seed, streams) -> list:
+    """One numpy Generator per stream id: for an integer k, bit for bit
+    ``default_rng(SeedSequence(seed, spawn_key=(k,)))``, numpy's child
+    ``SeedSequence(seed).spawn()`` gives k-th; for None, the root
+    ``default_rng(SeedSequence(seed))``.  Stream ids outside [0, 2^32),
+    which numpy spreads over several spawn words, raise ValueError.
+
+    Only the root SeedSequence is built.  numpy hashes a child's entropy
+    words padded to its pool size, then k, so the child's pool is the
+    root's with k mixed into each of the 4 pool words, under the hash
+    constants that follow the 16 of the root's first two rounds and
+    4 more for each entropy word past the fourth.  That mixing and the
+    state hash of generate_state(4, uint64) run on all streams in one
+    array pass; the root stream takes the root's pool unmixed."""
+    keys = [0 if k is None else operator.index(k) for k in streams]
+    if not all(0 <= k <= _MASK32 for k in keys):
+        raise ValueError(f"stream ids must lie in [0, 2**32): {streams}")
+    words_type, coerce = _numpy_seeding()
+    root = np.random.SeedSequence(seed)
+    c = _spawn_consts(16 + 4 * max(len(coerce(root.entropy)) - 4, 0))
+    h = (np.array(keys, dtype=np.uint32)[:, None] ^ c[:4]) * c[1:]
+    h ^= h >> 16
+    pool = _MIX_L * root.pool - _MIX_R * h
+    pool ^= pool >> 16
+    pool[[k is None for k in streams]] = root.pool
+    w = (pool[:, None, :] ^ _STATE_XOR) * _STATE_MUL
+    w ^= w >> 16
+    # numpy reads the 32-bit words as little-endian 64-bit ones
+    words = w.reshape(-1, 8).astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(words_type(x)))
+            for x in words]
 
 
 def sample_haar(preset: LatticePreset, seed, N: int,
@@ -286,13 +384,15 @@ def sample_haar(preset: LatticePreset, seed, N: int,
     and frame; no isometry matrix is formed unless ``matrices`` is read.
 
     ``(seed, stream)`` names one random stream: ``stream=None`` is the
-    root ``SeedSequence(seed)``, an integer k is its child k (the one
-    ``SeedSequence(seed).spawn()`` gives k-th).  A stream's N samples
-    are drawn at once, in this order: the cell uniforms, the exponential
-    spacings of the barycentric coordinates on the cell bases, the height
-    quantiles and the Gaussian frames.  Identical (seed, stream) pairs
-    give identical batches; distinct streams spawned from one seed are
-    independent.
+    root ``SeedSequence(seed)``, an integer k in [0, 2^32) is its child k
+    (the one ``SeedSequence(seed).spawn()`` gives k-th; other ids raise
+    ValueError), and the stream's generator is bit for bit that seed
+    sequence's ``default_rng``, made by `_stream_generators` without
+    building the child.  A stream's N samples are drawn at once, in this
+    order: the cell uniforms, the exponential spacings of the barycentric
+    coordinates on the cell bases, the height quantiles and the Gaussian
+    frames.  Identical (seed, stream) pairs give identical batches;
+    distinct streams spawned from one seed are independent.
 
     ``stream`` may also be a sequence of stream ids.  Each id's N
     samples are drawn as above into one stream-major stack of
@@ -310,19 +410,14 @@ def sample_haar(preset: LatticePreset, seed, N: int,
     u_cell, u = np.empty((K, N)), np.empty((K, N))
     E = np.empty((K, N, d + 1))
     gauss = np.empty((K, N, n, n))
-    for i, k in enumerate(streams):
-        # stream k is child k of SeedSequence(seed).spawn(), made directly
-        rng = np.random.default_rng(np.random.SeedSequence(
-            seed, spawn_key=() if k is None else (k,)))
+    for i, rng in enumerate(_stream_generators(seed, streams)):
         rng.random(out=u_cell[i])
         rng.standard_exponential(out=E[i])
         rng.random(out=u[i])
         rng.standard_normal(out=gauss[i])
     N *= K
     # the cells by inverse CDF, as Generator.choice(p=p_cell) draws them
-    cdf = (ch.volume / preset.covolume).cumsum()
-    cdf /= cdf[-1]
-    cells = cdf.searchsorted(u_cell.reshape(N), side="right")
+    cells = ch.cdf.searchsorted(u_cell.reshape(N), side="right")
     # the feet's barycentric coordinates as normalised exponential
     # spacings, as Generator.dirichlet(np.ones(d + 1)) draws them
     E = E.reshape(N, d + 1)
@@ -333,14 +428,17 @@ def sample_haar(preset: LatticePreset, seed, N: int,
     # 1 - u > 0, so t is finite
     x = np.einsum("ij,ijk->ik", lam, ch.base[cells])
     off = x - ch.center[cells]
-    h2 = np.maximum(ch.radius[cells] ** 2 - np.einsum("ij,ij->i", off, off),
-                    1e-300)
+    h2 = np.maximum(ch.r2[cells] - np.einsum("ij,ij->i", off, off), 1e-300)
     h = np.sqrt(h2)
     t = h * (1.0 - u.reshape(N)) ** (-1.0 / d)
     # the density ratio: h^{-d}/d is the volume of the column over the
     # foot, and volume/area the cell's mean column
-    weights = ch.area[cells] * h ** (-d) / (d * ch.volume[cells])
+    weights = ch.weight_scale[cells] * h ** (-d)
 
+    # the signs are read from the planes gram_schmidt works on, before
+    # the frames are laid out as the (N, n, n) stack act_ideal multiplies
     frames = gram_schmidt(gauss.reshape(N, n, n))
-    return HaarBatch(points=halfspace_to_hyperboloid(x, t), frames=frames,
-                     signs=_frame_signs(frames), weights=weights, cells=cells)
+    signs = _frame_signs(frames)
+    return HaarBatch(points=halfspace_to_hyperboloid(x, t),
+                     frames=np.ascontiguousarray(frames), signs=signs,
+                     weights=weights, cells=cells)

@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

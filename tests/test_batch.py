@@ -19,6 +19,7 @@ from hyprig.errors import DimensionMismatch
 from hyprig.hypcore import (IdealPoint, act_ideal, act_ideal_many,
                             halfspace_to_hyperboloid, null_lifts,
                             random_isometries, random_isometry)
+from hyprig import lattice
 from hyprig.lattice import HaarBatch, load_preset, sample_haar
 from hyprig.regref import reference_vertices
 from hyprig.smear import (SAMPLE_BLOCK, SIGMA_FLOOR, RatioEstimate,
@@ -393,17 +394,17 @@ def test_sample_haar_draws_are_numpys_choice_and_dirichlet(
     orientations of the Gaussian blocks' QR frames."""
     p = presets[name]
     made = []
-    default_rng = np.random.default_rng
+    stream_generators = lattice._stream_generators
 
-    def recording_rng(*args):
-        made.append(default_rng(*args))
+    def recording_generators(*args):
+        made.append(stream_generators(*args))
         return made[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(lattice, "_stream_generators", recording_generators)
     for stream in (None, 0, 5, [4, 0, 9]):
         made.clear()
         batch = sample_haar(p, 42, 64, stream=stream)
-        rngs = made.copy()
+        [rngs] = made
         refs = [_numpy_draws(p, 42, 64, k)
                 for k in (stream if isinstance(stream, list) else [stream])]
         cells, weights, gauss = (np.concatenate(a)

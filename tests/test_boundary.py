@@ -23,7 +23,6 @@ from hyprig.hypcore import (
     act_point,
     basepoint,
     make_isometry,
-    mink,
     random_isometry,
 )
 from hyprig.regref import reference_regular

@@ -1,12 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from hyprig.errors import PresetCorrupt, UnknownPreset
 from hyprig.hypcore import gram_schmidt
-from hyprig.lattice import _frame_signs, load_preset, sample_haar
+from hyprig.lattice import (_frame_signs, _stream_generators, load_preset,
+                            sample_haar)
 from hyprig.volcocycle import V2, V3, vol
 
 
@@ -89,6 +92,59 @@ def test_sampler_reproducible():
     assert not np.array_equal(a[0].g.matrix, c[0].g.matrix)
     d = sample_haar(p, 42, 50, stream=1)
     assert not np.array_equal(a[0].g.matrix, d[0].g.matrix)
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128 + 17, [7, 3])
+STREAMS = (None, 0, 1, 7, 255, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=str)
+def test_stream_generators_are_numpys_children(seed):
+    """The one array pass over the root pool gives each stream the state
+    of numpy's own child generator, for entropy of one to five words
+    (the longer seeds move the spawn word's hash constants) and stream
+    ids across the 32-bit range, the root stream among them."""
+    rngs = _stream_generators(seed, STREAMS)
+    for k, rng in zip(STREAMS, rngs, strict=True):
+        ref = np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=() if k is None else (k,)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("stream", [-1, 2**32, 2**64, [3, 2**32]], ids=str)
+def test_stream_ids_outside_32_bits_raise(stream):
+    # numpy would take 2^32 and up as several spawn words; the pass
+    # hashes one word per stream, so those ids are refused
+    p = load_preset("test_reflection_2d")
+    with pytest.raises(ValueError, match="stream ids"):
+        sample_haar(p, 42, 4, stream=stream)
+
+
+def test_sample_haar_builds_one_seed_sequence(monkeypatch):
+    """A call on 8 streams builds the root SeedSequence and no child."""
+    p = load_preset("figure_eight_3d")
+    made = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(seed_sequence(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    sample_haar(p, 42, 32, stream=list(range(8)))
+    assert len(made) == 1 and made[0].spawn_key == ()
+
+
+def test_importing_hyprig_does_not_load_numpy_random():
+    # NumPy 2 loads numpy.random lazily (about 10 ms); the seeding pass
+    # takes its names from it on first use, so verbs that draw nothing
+    # do not pay for it at start-up
+    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
+            "import hyprig.cli, hyprig.lattice, hyprig.smear; "
+            "sys.exit(not eager and 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("name", ["figure_eight_3d", "test_reflection_2d"])
